@@ -67,7 +67,7 @@ func BenchmarkFig5(b *testing.B) {
 			b.Fatal(err)
 		}
 		cedarHi := res.Point("cedar@0.99")
-		agent := res.Point(exp.MethodAgent41)
+		agent := res.Point(verify.MethodAgent41)
 		if cedarHi != nil && agent != nil && cedarHi.Dollars > 0 {
 			b.ReportMetric(agent.Dollars/cedarHi.Dollars, "agent-cost-ratio")
 			b.ReportMetric(cedarHi.F1*100, "cedar@0.99-F1")
@@ -480,10 +480,10 @@ func BenchmarkVerifyParallel(b *testing.B) {
 		return &llm.Metered{Client: &llm.Throttled{Client: m, Scale: latencyScale}, Ledger: ledger}
 	}
 	methods := []verify.Method{
-		verify.NewOneShot(client(llm.ModelGPT35), llm.ModelGPT35, exp.MethodOneShot35),
-		verify.NewOneShot(client(llm.ModelGPT4o), llm.ModelGPT4o, exp.MethodOneShot4o),
-		verify.NewAgent(client(llm.ModelGPT4o), llm.ModelGPT4o, exp.MethodAgent4o, benchSeed),
-		verify.NewAgent(client(llm.ModelGPT41), llm.ModelGPT41, exp.MethodAgent41, benchSeed+1),
+		verify.NewOneShot(client(llm.ModelGPT35), llm.ModelGPT35, verify.MethodOneShot35),
+		verify.NewOneShot(client(llm.ModelGPT4o), llm.ModelGPT4o, verify.MethodOneShot4o),
+		verify.NewAgent(client(llm.ModelGPT4o), llm.ModelGPT4o, verify.MethodAgent4o, benchSeed),
+		verify.NewAgent(client(llm.ModelGPT41), llm.ModelGPT41, verify.MethodAgent41, benchSeed+1),
 	}
 	profDocs, err := data.AggChecker(benchSeed)
 	if err != nil {
@@ -558,10 +558,10 @@ func BenchmarkVerifyFaulty(b *testing.B) {
 				}
 			}
 			methods := []verify.Method{
-				verify.NewOneShot(client(llm.ModelGPT35), llm.ModelGPT35, exp.MethodOneShot35),
-				verify.NewOneShot(client(llm.ModelGPT4o), llm.ModelGPT4o, exp.MethodOneShot4o),
-				verify.NewAgent(client(llm.ModelGPT4o), llm.ModelGPT4o, exp.MethodAgent4o, benchSeed),
-				verify.NewAgent(client(llm.ModelGPT41), llm.ModelGPT41, exp.MethodAgent41, benchSeed+1),
+				verify.NewOneShot(client(llm.ModelGPT35), llm.ModelGPT35, verify.MethodOneShot35),
+				verify.NewOneShot(client(llm.ModelGPT4o), llm.ModelGPT4o, verify.MethodOneShot4o),
+				verify.NewAgent(client(llm.ModelGPT4o), llm.ModelGPT4o, verify.MethodAgent4o, benchSeed),
+				verify.NewAgent(client(llm.ModelGPT41), llm.ModelGPT41, verify.MethodAgent41, benchSeed+1),
 			}
 			stats, err := profile.Run(methods, profDocs[:6], ledger, profile.Options{})
 			if err != nil {

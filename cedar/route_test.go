@@ -250,30 +250,3 @@ func TestSetCatalogValidation(t *testing.T) {
 		t.Error("failed registration left a catalog behind")
 	}
 }
-
-func TestRoutedScheduleReporting(t *testing.T) {
-	sys, err := New(Options{Seed: 5, Route: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := sys.RoutedSchedule(); got != "(not planned)" {
-		t.Errorf("unplanned routed schedule = %q", got)
-	}
-	if err := sys.SetStats(routeTestStats(t)); err != nil {
-		t.Fatal(err)
-	}
-	routed, plain := sys.RoutedSchedule(), sys.Schedule()
-	if routed == plain {
-		t.Errorf("routed schedule %q identical to plain schedule; fee not priced in", routed)
-	}
-	off, err := New(Options{Seed: 5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := off.SetStats(sys.Stats()); err != nil {
-		t.Fatal(err)
-	}
-	if off.RoutedSchedule() != off.Schedule() {
-		t.Error("RoutedSchedule with routing off must render the plain schedule")
-	}
-}

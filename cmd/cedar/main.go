@@ -266,9 +266,6 @@ func run(o runOptions) error {
 		return enc.Encode(out)
 	}
 	fmt.Printf("schedule: %s\n", sys.Schedule())
-	if o.Route {
-		fmt.Printf("routed schedule: %s\n", sys.RoutedSchedule())
-	}
 	fmt.Println()
 	for _, c := range doc.Claims {
 		verdict := "CORRECT"

@@ -12,9 +12,6 @@ import (
 	"repro/internal/claim"
 	"repro/internal/core"
 	"repro/internal/data"
-	"repro/internal/llm"
-	"repro/internal/llm/resilience"
-	"repro/internal/llm/sim"
 	"repro/internal/metrics"
 	"repro/internal/profile"
 	"repro/internal/schedule"
@@ -23,15 +20,10 @@ import (
 	"repro/internal/verify"
 )
 
-// Stack bundles the standard CEDAR verification methods of Section 7.1 —
-// one-shot with GPT-3.5 and GPT-4o, agents with GPT-4o and GPT-4.1 — with
-// the ledger metering all of them.
+// Stack is the standard method stack of Section 7.1 (verify.NewStack) with
+// the run settings of experiment pipelines.
 type Stack struct {
-	Methods []verify.Method
-	Ledger  *llm.Ledger
-	// Resilience accumulates operational counters from the resilience
-	// middleware when the stack was built with nontrivial ResilienceOptions.
-	Resilience *metrics.Resilience
+	*verify.Stack
 	// Workers bounds concurrent claim verification in pipeline runs; values
 	// < 2 run sequentially. Results are identical for any worker count (the
 	// splittable seeding of internal/core), so experiments may parallelize
@@ -41,21 +33,9 @@ type Stack struct {
 	// when the stack was built with ResilienceOptions.Tracer; pipeline runs
 	// thread it into core.Config so spans carry attempt identities.
 	Tracer *trace.Tracer
-	// Caches are the per-model completion caches, present only when the
-	// stack was built with ResilienceOptions.Store; kept so experiments can
-	// report persisted-hit counts.
-	Caches []*llm.Cached
 
 	seed int64
 }
-
-// Canonical method labels used across experiments.
-const (
-	MethodOneShot35 = "oneshot-gpt3.5"
-	MethodOneShot4o = "oneshot-gpt4o"
-	MethodAgent4o   = "agent-gpt4o"
-	MethodAgent41   = "agent-gpt4.1"
-)
 
 // ResilienceOptions configure the optional resilience middleware of an
 // experiment stack, mirroring the knobs of cedar.Options.
@@ -77,17 +57,9 @@ type ResilienceOptions struct {
 	// layer (see internal/trace); nil disables tracing.
 	Tracer *trace.Tracer
 	// Store, when non-nil, installs a temperature-0 completion cache backed
-	// by this persistent result store between the meter and the hedger —
-	// the same position cedar.New wires it (DESIGN.md §11). Cached hits,
+	// by this persistent result store (DESIGN.md §11). Cached hits,
 	// in-memory or persisted, are never billed.
 	Store *store.Store
-	// ThrottleScale, when positive, wraps the simulated models in
-	// llm.Throttled so every attempt pays this fraction of its simulated
-	// latency as a real sleep. Wait-bound benchmarks (shardbench) use it to
-	// model provider-latency-bound serving: a replica's throughput is then
-	// capped by awaiting responses, not by CPU, which is what replica
-	// fan-out actually buys back.
-	ThrottleScale float64
 }
 
 // DefaultResilience is applied by NewStack; the cedar-bench and
@@ -102,97 +74,27 @@ func NewStack(seed int64) (*Stack, error) {
 }
 
 // NewStackResilient builds the method stack with explicit resilience knobs.
-// Middleware order matches cedar.New: sim → Faulty → Metered → [Cached] →
-// Hedged → Retrier → Breaker (inner to outer), so failed attempts are billed,
-// cache hits are free, and the breaker sees logical post-retry outcomes.
 func NewStackResilient(seed int64, ro ResilienceOptions) (*Stack, error) {
-	ledger := llm.NewLedger()
-	res := &metrics.Resilience{}
-	var caches []*llm.Cached
-	client := func(model string) (llm.Client, error) {
-		m, err := sim.New(model, seed)
-		if err != nil {
-			return nil, err
-		}
-		var c llm.Client = m
-		if ro.ThrottleScale > 0 {
-			// Innermost, directly over the model: every attempt — including
-			// ones a fault injector or retrier will discard — pays its wire
-			// time, matching how bench_test.go measures worker speedups.
-			c = &llm.Throttled{Client: c, Scale: ro.ThrottleScale, Tracer: ro.Tracer}
-		}
-		if ro.FaultRate > 0 {
-			c = &resilience.Faulty{
-				Client:  c,
-				Plan:    resilience.Plan{Seed: llm.SplitSeed(seed, "faults", model), Rate: ro.FaultRate},
-				Metrics: res,
-				Tracer:  ro.Tracer,
-			}
-		}
-		c = &llm.Metered{Client: c, Ledger: ledger, Tracer: ro.Tracer}
-		if ro.Store != nil {
-			// Outside the meter so hits — in-memory or persisted — are free,
-			// matching cedar.New's placement.
-			cached := llm.NewCached(c, 0)
-			cached.Tracer = ro.Tracer
-			cached.Persist = ro.Store
-			caches = append(caches, cached)
-			c = cached
-		}
-		if ro.HedgeAfter > 0 {
-			c = &resilience.Hedged{Client: c, After: ro.HedgeAfter, Metrics: res, Tracer: ro.Tracer}
-		}
-		if ro.Retries > 0 || ro.Timeout > 0 {
-			c = &resilience.Retrier{
-				Client:      c,
-				MaxAttempts: ro.Retries + 1,
-				Deadline:    ro.Timeout,
-				Seed:        llm.SplitSeed(seed, "retry", model),
-				Metrics:     res,
-				Tracer:      ro.Tracer,
-			}
-		}
-		if ro.BreakerThreshold > 0 {
-			c = &resilience.Breaker{Client: c, FailureThreshold: ro.BreakerThreshold, Metrics: res, Tracer: ro.Tracer}
-		}
-		return c, nil
-	}
-	c35, err := client(llm.ModelGPT35)
-	if err != nil {
-		return nil, err
-	}
-	c4o, err := client(llm.ModelGPT4o)
-	if err != nil {
-		return nil, err
-	}
-	c41, err := client(llm.ModelGPT41)
-	if err != nil {
-		return nil, err
-	}
-	return &Stack{
-		seed: seed,
-		Methods: []verify.Method{
-			verify.NewOneShot(c35, llm.ModelGPT35, MethodOneShot35),
-			verify.NewOneShot(c4o, llm.ModelGPT4o, MethodOneShot4o),
-			verify.NewAgent(c4o, llm.ModelGPT4o, MethodAgent4o, seed),
-			verify.NewAgent(c41, llm.ModelGPT41, MethodAgent41, seed+1),
-		},
-		Ledger:     ledger,
-		Resilience: res,
-		Tracer:     ro.Tracer,
-		Caches:     caches,
-	}, nil
+	return newStack(verify.StackConfig{
+		Seed:             seed,
+		FaultRate:        ro.FaultRate,
+		Cache:            ro.Store != nil,
+		Store:            ro.Store,
+		HedgeAfter:       ro.HedgeAfter,
+		Retries:          ro.Retries,
+		Timeout:          ro.Timeout,
+		BreakerThreshold: ro.BreakerThreshold,
+		Tracer:           ro.Tracer,
+	})
 }
 
-// PersistedHits sums disk-store hits across the stack's per-model caches;
-// zero when the stack has no store.
-func (s *Stack) PersistedHits() int64 {
-	var total int64
-	for _, c := range s.Caches {
-		_, hits := c.PersistStats()
-		total += int64(hits)
+// newStack wraps verify.NewStack for experiment pipelines.
+func newStack(cfg verify.StackConfig) (*Stack, error) {
+	vs, err := verify.NewStack(cfg)
+	if err != nil {
+		return nil, err
 	}
-	return total
+	return &Stack{Stack: vs, Tracer: cfg.Tracer, seed: cfg.Seed}, nil
 }
 
 // Profile estimates method statistics on a held-out corpus.

@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/data"
 	"repro/internal/metrics"
+	"repro/internal/verify"
 )
 
 // TestTable2Shape verifies the headline result: CEDAR has the best F1 on
@@ -110,7 +111,7 @@ func TestFig5Shape(t *testing.T) {
 	}
 	// CEDAR at 99% must dominate the strongest single-stage agent on cost
 	// with comparable-or-better F1 (the Figure 5 headline).
-	agent := res.Point(MethodAgent41)
+	agent := res.Point(verify.MethodAgent41)
 	if agent == nil {
 		t.Fatal("missing single-stage agent point")
 	}
@@ -122,7 +123,7 @@ func TestFig5Shape(t *testing.T) {
 	}
 	// Throughput: the cheap one-shot single stage processes claims faster
 	// than the agent stage.
-	oneshot := res.Point(MethodOneShot35)
+	oneshot := res.Point(verify.MethodOneShot35)
 	if oneshot.ThroughputPerHour <= agent.ThroughputPerHour {
 		t.Errorf("one-shot throughput %v must exceed agent %v", oneshot.ThroughputPerHour, agent.ThroughputPerHour)
 	}

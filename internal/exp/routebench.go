@@ -39,12 +39,9 @@ type RouteBenchResult struct {
 	// Ties counts bindings decided by the seeded tie-break.
 	Ties int
 	Rows []RouteBenchRow
-	// BaseSchedule is the planned verification schedule; PricedSchedule is
-	// the same schedule with the routing stage's fee and wrong-routing risk
-	// applied by the DP planner (reporting-only; verification always runs
-	// BaseSchedule).
-	BaseSchedule   string
-	PricedSchedule string
+	// BaseSchedule is the planned verification schedule every routed
+	// sub-claim runs.
+	BaseSchedule string
 }
 
 // RouteBench measures cross-database claim routing end to end: routing
@@ -135,7 +132,6 @@ func RouteBench(seed int64, workers int) (*RouteBenchResult, error) {
 	}
 	res.Rows = []RouteBenchRow{*routedRow, *baseRow}
 	res.BaseSchedule = routedSys.Schedule()
-	res.PricedSchedule = routedSys.RoutedSchedule()
 	return res, nil
 }
 
@@ -153,7 +149,6 @@ func (r *RouteBenchResult) Render() string {
 			row.Quality.Failed, row.Dollars, row.RouteDollars, row.Calls, row.SubClaims)
 	}
 	fmt.Fprintf(&b, "verification schedule: %s\n", r.BaseSchedule)
-	fmt.Fprintf(&b, "priced routed schedule: %s\n", r.PricedSchedule)
 	return b.String()
 }
 
@@ -194,12 +189,11 @@ func (r *RouteBenchResult) JSON() ([]byte, error) {
 		Ties            int     `json:"ties"`
 		Rows            []row   `json:"rows"`
 		BaseSchedule    string  `json:"base_schedule"`
-		PricedSchedule  string  `json:"priced_schedule"`
 	}{
 		Experiment: "routebench", Docs: r.Docs, Claims: r.Claims,
 		Compound: r.Compound, SubClaims: r.SubClaims,
 		RoutingAccuracy: r.RoutingAccuracy, Ties: r.Ties,
-		BaseSchedule: r.BaseSchedule, PricedSchedule: r.PricedSchedule,
+		BaseSchedule: r.BaseSchedule,
 	}
 	for _, rw := range r.Rows {
 		out.Rows = append(out.Rows, row{

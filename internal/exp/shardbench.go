@@ -17,6 +17,7 @@ import (
 	"repro/internal/schedule"
 	"repro/internal/serve"
 	"repro/internal/shard"
+	"repro/internal/verify"
 )
 
 // Shardbench defaults: the sweep fires one request per client goroutine at
@@ -242,7 +243,7 @@ func shardBenchCell(seed int64, cfg ShardBenchConfig, shards int, stats []schedu
 // (provider-latency-bound, like a real replica awaiting an LLM API) behind
 // the serving batch loop.
 func newShardBenchReplica(seed int64, cfg ShardBenchConfig, stats []schedule.MethodStats, source *claim.Document) (*shardBenchReplica, error) {
-	stack, err := NewStackResilient(seed, ResilienceOptions{ThrottleScale: cfg.ThrottleScale})
+	stack, err := newStack(verify.StackConfig{Seed: seed, ThrottleScale: cfg.ThrottleScale})
 	if err != nil {
 		return nil, err
 	}

@@ -87,7 +87,7 @@ func StoreBench(seed int64, workers int) (*StoreBenchResult, error) {
 			return nil, err
 		}
 		docs := claim.CloneDocuments(evalDocs)
-		preHits := stack.PersistedHits()
+		preHits := int64(stack.PersistedHits())
 		start := time.Now()
 		q, rc, _, err := stack.RunCEDAR(stats, 0.99, docs)
 		realWall := time.Since(start)
@@ -95,7 +95,7 @@ func StoreBench(seed int64, workers int) (*StoreBenchResult, error) {
 			st.Close()
 			return nil, err
 		}
-		hits := stack.PersistedHits() - preHits
+		hits := int64(stack.PersistedHits()) - preHits
 		if err := st.Close(); err != nil {
 			return nil, err
 		}

@@ -14,6 +14,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/data"
 	"repro/internal/serve"
+	"repro/internal/verify"
 )
 
 // Streambench defaults. The stack is throttled exactly like shardbench —
@@ -97,7 +98,7 @@ func StreamBenchWith(seed int64, cfg StreamBenchConfig) (*StreamBenchResult, err
 // corpus in the given mode, and measures time-to-first-verdict and wall time
 // from the caller's side of the socket.
 func streamBenchCell(seed int64, cfg StreamBenchConfig, mode string) (*StreamBenchRow, error) {
-	stack, err := NewStackResilient(seed, ResilienceOptions{ThrottleScale: cfg.ThrottleScale})
+	stack, err := newStack(verify.StackConfig{Seed: seed, ThrottleScale: cfg.ThrottleScale})
 	if err != nil {
 		return nil, err
 	}

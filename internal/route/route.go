@@ -27,14 +27,14 @@ const DefaultTopK = 3
 // DefaultFee is the priced cost of one routing decision (one sub-claim
 // scored and bound), in the same simulated dollars as model fees. Routing
 // uses embeddings and the catalog only — far cheaper than a verification
-// call — but it is not free, and the DP scheduler prices it (schedule.RouteStage).
+// call — but it is not free, and every routed run books it.
 const DefaultFee = 0.0001
 
 // DefaultAccuracy is the modeled probability that the routing stage binds a
-// sub-claim to the right table — the "wrong-routing risk" the scheduler
-// multiplies into a routed schedule's expected accuracy. The routebench
-// corpus measures the realized value (≥ 0.9 by the acceptance gate); the
-// model is deliberately a little conservative.
+// sub-claim to the right table. The routebench corpus measures the realized
+// value (≥ 0.9 by the acceptance gate). No planner reads it; it stays as
+// routing identity in cedar's config fingerprint, so persisted verdict memos
+// keep their keys.
 const DefaultAccuracy = 0.96
 
 // Options configure planning. The zero value is usable: TopK defaults to

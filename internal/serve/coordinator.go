@@ -197,18 +197,12 @@ func (c *Coordinator) routes() *http.ServeMux {
 func (c *Coordinator) probe(ctx context.Context, node string) error {
 	ctx, cancel := context.WithTimeout(ctx, 2*time.Second)
 	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, node+"/healthz", nil)
+	status, _, err := c.call(ctx, http.MethodGet, node+"/healthz", "", nil, 1024)
 	if err != nil {
 		return err
 	}
-	resp, err := c.client.Do(req)
-	if err != nil {
-		return err
-	}
-	_, _ = io.Copy(io.Discard, io.LimitReader(resp.Body, 1024))
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("healthz: status %d", resp.StatusCode)
+	if status != http.StatusOK {
+		return fmt.Errorf("healthz: status %d", status)
 	}
 	return nil
 }
@@ -366,11 +360,11 @@ func (c *Coordinator) renderProxyError(w http.ResponseWriter, err error) {
 	writeError(w, status, det.Code, det.Message, 0)
 }
 
-// relay writes a replica's response verbatim.
-func relay(w http.ResponseWriter, res shard.Result) {
+// relay writes a replica's (status, body) response verbatim.
+func relay(w http.ResponseWriter, status int, body []byte) {
 	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(res.Status)
-	_, _ = w.Write(res.Body)
+	w.WriteHeader(status)
+	_, _ = w.Write(body)
 }
 
 // handleVerify proxies POST /v1/verify to the replica owning the request's
@@ -402,14 +396,12 @@ func (c *Coordinator) handleVerify(w http.ResponseWriter, r *http.Request) {
 	if res.Status == http.StatusOK {
 		c.met.recordRequest(time.Since(started))
 	}
-	relay(w, res)
+	relay(w, res.Status, res.Body)
 }
 
-// handleVerifyBatch proxies POST /v1/verify/batch: documents are grouped by
-// owning replica, the sub-batches fan out concurrently, and the responses
-// merge back in the caller's document order with summed batch stats. Every
-// document still rides a replica micro-batch, so fee attribution follows the
-// replica that did the work.
+// handleVerifyBatch proxies POST /v1/verify/batch through the ring scatter:
+// every document still rides a replica micro-batch, so fee attribution
+// follows the replica that did the work.
 func (c *Coordinator) handleVerifyBatch(w http.ResponseWriter, r *http.Request) {
 	started := time.Now()
 	if c.rejectDraining(w) {
@@ -429,104 +421,118 @@ func (c *Coordinator) handleVerifyBatch(w http.ResponseWriter, r *http.Request) 
 	if c.cfg.Route != nil && c.tryRoutedVerifyBatch(ctx, w, started, req) {
 		return
 	}
-
-	// Partition by owner. Assignment is read once per document; a membership
-	// change mid-request is handled by the proxy's failover, not re-grouped.
-	type group struct {
-		idxs  []int
-		docs  []DocumentInput
-		key   []byte
-		docID string
+	merged, ok := c.scatter(ctx, w, req.Documents)
+	if !ok {
+		return
 	}
-	groups := make(map[string]*group)
-	order := make([]string, 0, 4) // deterministic fan-out order for tests
-	for i, in := range req.Documents {
+	c.met.recordRequest(time.Since(started))
+	writeJSON(w, http.StatusOK, merged)
+}
+
+// scatter is the coordinator's one ring scatter-gather, shared by the plain
+// and routed batch paths: docs are grouped by owning replica, each group is
+// one /v1/verify/batch sub-batch through the failover proxy, and the replies
+// merge in caller order with summed batch stats. Every sub-batch a replica
+// answered is counted in routed and traced. On failure scatter writes the
+// response for the earliest failing document and reports false: a non-OK
+// replica answer relays verbatim; a proxy error, unparseable reply, or reply
+// short of documents or claims is an explicit error, never a zero verdict.
+func (c *Coordinator) scatter(ctx context.Context, w http.ResponseWriter, docs []DocumentInput) (BatchResponse, bool) {
+	// Assignment is read once per document; a membership change mid-request
+	// is the proxy's failover, not a re-grouping. Groups keep the order of
+	// their first documents, so the first failing group is the earliest.
+	type group struct {
+		idxs   []int
+		docs   []DocumentInput
+		key    []byte
+		docID  string
+		res    shard.Result
+		parsed BatchResponse
+		err    error
+	}
+	var groups []*group
+	byOwner := make(map[string]*group)
+	for i, in := range docs {
 		key, docID := c.routeKey(in.DocID, in.Claims)
 		owner, ok := c.ring.Assign(key)
 		if !ok {
 			c.renderProxyError(w, shard.ErrNoReplicas)
-			return
+			return BatchResponse{}, false
 		}
-		g := groups[owner]
+		g := byOwner[owner]
 		if g == nil {
 			g = &group{key: key, docID: docID}
-			groups[owner] = g
-			order = append(order, owner)
+			byOwner[owner] = g
+			groups = append(groups, g)
 		}
 		g.idxs = append(g.idxs, i)
 		g.docs = append(g.docs, in)
 	}
 
-	type outcome struct {
-		firstIdx int
-		res      shard.Result
-		err      error
-		parsed   BatchResponse
-	}
-	outcomes := make([]outcome, len(order))
 	var wg sync.WaitGroup
-	for gi, owner := range order {
-		g := groups[owner]
+	for _, g := range groups {
 		wg.Add(1)
-		go func(gi int, g *group) {
+		go func() {
 			defer wg.Done()
-			out := outcome{firstIdx: g.idxs[0]}
 			body, err := json.Marshal(BatchRequest{Documents: g.docs})
 			if err == nil {
-				out.res, err = c.proxy.Do(ctx, g.key, "/v1/verify/batch", body)
+				g.res, err = c.proxy.Do(ctx, g.key, "/v1/verify/batch", body)
 			}
-			if err == nil && out.res.Status == http.StatusOK {
-				err = json.Unmarshal(out.res.Body, &out.parsed)
+			if err == nil && g.res.Status == http.StatusOK {
+				err = json.Unmarshal(g.res.Body, &g.parsed)
+				if err == nil {
+					err = checkReply(g.res.Node, g.docs, g.parsed.Documents)
+				}
 			}
-			out.err = err
-			outcomes[gi] = out
-		}(gi, g)
+			g.err = err
+		}()
 	}
 	wg.Wait()
 
-	// Any sub-batch failure fails the request; report the failure covering
-	// the earliest document so the error is stable under re-grouping.
-	failed := -1
-	for gi := range outcomes {
-		o := &outcomes[gi]
-		if o.err == nil && o.res.Status == http.StatusOK {
-			continue
+	var failed *group
+	for _, g := range groups {
+		if g.res.Node != "" {
+			c.routed.Add(1)
+			c.traceRoute(g.docID, g.res)
 		}
-		if failed < 0 || o.firstIdx < outcomes[failed].firstIdx {
-			failed = gi
+		if failed == nil && (g.err != nil || g.res.Status != http.StatusOK) {
+			failed = g
 		}
 	}
-	if failed >= 0 {
-		o := outcomes[failed]
-		if o.err != nil {
-			c.renderProxyError(w, o.err)
-			return
+	if failed != nil {
+		if failed.err != nil {
+			c.renderProxyError(w, failed.err)
+		} else {
+			c.countRelay(failed.res.Status)
+			relay(w, failed.res.Status, failed.res.Body)
 		}
-		c.routed.Add(1)
-		c.traceRoute(groups[order[failed]].docID, o.res)
-		c.countRelay(o.res.Status)
-		relay(w, o.res)
-		return
+		return BatchResponse{}, false
 	}
 
-	merged := BatchResponse{Documents: make([]DocumentResult, len(req.Documents))}
-	for gi, owner := range order {
-		o := outcomes[gi]
-		g := groups[owner]
-		c.routed.Add(1)
-		c.traceRoute(g.docID, o.res)
+	merged := BatchResponse{Documents: make([]DocumentResult, len(docs))}
+	for _, g := range groups {
 		for j, idx := range g.idxs {
-			if j < len(o.parsed.Documents) {
-				merged.Documents[idx] = o.parsed.Documents[j]
-			}
+			merged.Documents[idx] = g.parsed.Documents[j]
 		}
-		merged.Batch.Docs += o.parsed.Batch.Docs
-		merged.Batch.Claims += o.parsed.Batch.Claims
-		merged.Batch.Dollars += o.parsed.Batch.Dollars
-		merged.Batch.Calls += o.parsed.Batch.Calls
+		merged.Batch.Docs += g.parsed.Batch.Docs
+		merged.Batch.Claims += g.parsed.Batch.Claims
+		merged.Batch.Dollars += g.parsed.Batch.Dollars
+		merged.Batch.Calls += g.parsed.Batch.Calls
 	}
-	c.met.recordRequest(time.Since(started))
-	writeJSON(w, http.StatusOK, merged)
+	return merged, true
+}
+
+// checkReply rejects a reply short of the documents or claims it was sent.
+func checkReply(node string, sent []DocumentInput, got []DocumentResult) error {
+	if len(got) != len(sent) {
+		return fmt.Errorf("replica %s returned %d documents for %d", node, len(got), len(sent))
+	}
+	for i, d := range got {
+		if len(d.Claims) != len(sent[i].Claims) {
+			return fmt.Errorf("replica %s returned %d claims for %d in document %q", node, len(d.Claims), len(sent[i].Claims), d.DocID)
+		}
+	}
+	return nil
 }
 
 // handleStatus answers GET /v1/status with the coordinator role and the
@@ -556,16 +562,9 @@ func (c *Coordinator) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		BreakerSheds:  rs.BreakerSheds,
 		BreakerProbes: rs.BreakerProbes,
 	}
-	replicas := c.Replicas()
-	healthy := 0
-	for _, rep := range replicas {
-		if rep.Healthy {
-			healthy++
-		}
-	}
 	body.Shard = &ShardCounters{
-		Replicas:     len(replicas),
-		Healthy:      healthy,
+		Replicas:     len(c.prober.Tracked()),
+		Healthy:      len(c.healthyReplicas()),
 		Routed:       c.routed.Load(),
 		Failovers:    c.failovers.Load(),
 		Ejections:    c.ejections.Load(),

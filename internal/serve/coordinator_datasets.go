@@ -29,14 +29,11 @@ func (c *Coordinator) coordRoutesDatasets(mux *http.ServeMux) {
 	mux.HandleFunc("DELETE /v1/datasets/{name}", c.handleDatasetBroadcastDelete)
 }
 
-// forward sends one request with an arbitrary method/content type to a
-// replica, returning status and body.
-func (c *Coordinator) forward(ctx context.Context, method, url, contentType string, body []byte) (int, []byte, error) {
-	var rd io.Reader
-	if body != nil {
-		rd = bytes.NewReader(body)
-	}
-	req, err := http.NewRequestWithContext(ctx, method, url, rd)
+// call sends one request to a replica and returns its status and body, the
+// body read up to limit bytes — each caller keeps the response-size cap of
+// what it expects back.
+func (c *Coordinator) call(ctx context.Context, method, url, contentType string, body []byte, limit int64) (int, []byte, error) {
+	req, err := http.NewRequestWithContext(ctx, method, url, bytes.NewReader(body))
 	if err != nil {
 		return 0, nil, err
 	}
@@ -48,18 +45,11 @@ func (c *Coordinator) forward(ctx context.Context, method, url, contentType stri
 		return 0, nil, err
 	}
 	defer resp.Body.Close()
-	b, err := io.ReadAll(io.LimitReader(resp.Body, maxDatasetBody))
+	b, err := io.ReadAll(io.LimitReader(resp.Body, limit))
 	if err != nil {
 		return 0, nil, err
 	}
 	return resp.StatusCode, b, nil
-}
-
-// relayRaw writes a replica's (status, body) response verbatim.
-func relayRaw(w http.ResponseWriter, status int, body []byte) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	_, _ = w.Write(body)
 }
 
 // handleDatasetBroadcastCreate answers POST /v1/datasets by replaying the
@@ -93,7 +83,7 @@ func (c *Coordinator) handleDatasetBroadcastCreate(w http.ResponseWriter, r *htt
 	contentType := r.Header.Get("Content-Type")
 	var first []byte
 	for _, node := range replicas {
-		status, respBody, err := c.forward(ctx, http.MethodPost, node+path, contentType, body)
+		status, respBody, err := c.call(ctx, http.MethodPost, node+path, contentType, body, maxDatasetBody)
 		if err != nil {
 			c.met.inc(&c.met.internalErrors)
 			writeError(w, http.StatusBadGateway, CodeInternal,
@@ -105,7 +95,7 @@ func (c *Coordinator) handleDatasetBroadcastCreate(w http.ResponseWriter, r *htt
 			// Replicas are deterministic, so the first rejection speaks for
 			// the tier; relay its error envelope.
 			c.countRelay(status)
-			relayRaw(w, status, respBody)
+			relay(w, status, respBody)
 			return
 		}
 		if first == nil {
@@ -113,7 +103,7 @@ func (c *Coordinator) handleDatasetBroadcastCreate(w http.ResponseWriter, r *htt
 		}
 	}
 	c.met.recordRequest(time.Since(started))
-	relayRaw(w, http.StatusOK, first)
+	relay(w, http.StatusOK, first)
 }
 
 // handleDatasetRelayList answers GET /v1/datasets from the first healthy
@@ -132,12 +122,12 @@ func (c *Coordinator) relayDatasetGet(w http.ResponseWriter, r *http.Request, pa
 	ctx, cancel := c.requestContext(r)
 	defer cancel()
 	for _, node := range c.healthyReplicas() {
-		status, body, err := c.forward(ctx, http.MethodGet, node+path, "", nil)
+		status, body, err := c.call(ctx, http.MethodGet, node+path, "", nil, maxDatasetBody)
 		if err != nil {
 			continue
 		}
 		c.countRelay(status)
-		relayRaw(w, status, body)
+		relay(w, status, body)
 		return
 	}
 	c.met.inc(&c.met.rejectedDraining)
@@ -163,7 +153,7 @@ func (c *Coordinator) handleDatasetBroadcastDelete(w http.ResponseWriter, r *htt
 	path := "/v1/datasets/" + url.PathEscape(r.PathValue("name"))
 	var deleted []byte
 	for _, node := range replicas {
-		status, body, err := c.forward(ctx, http.MethodDelete, node+path, "", nil)
+		status, body, err := c.call(ctx, http.MethodDelete, node+path, "", nil, maxDatasetBody)
 		if err != nil {
 			c.met.inc(&c.met.internalErrors)
 			writeError(w, http.StatusBadGateway, CodeInternal,
@@ -178,5 +168,5 @@ func (c *Coordinator) handleDatasetBroadcastDelete(w http.ResponseWriter, r *htt
 		writeError(w, http.StatusNotFound, CodeNotFound, "no dataset with that name", 0)
 		return
 	}
-	relayRaw(w, http.StatusOK, deleted)
+	relay(w, http.StatusOK, deleted)
 }

@@ -2,15 +2,12 @@ package serve
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"net/http"
-	"sync"
 	"time"
 
 	"repro/internal/claim"
 	"repro/internal/route"
-	"repro/internal/shard"
 )
 
 // RouteConfig enables cross-database claim routing at the coordinator
@@ -99,109 +96,35 @@ func wireResult(cr ClaimResult) claim.Result {
 	}
 }
 
-// verifyExpanded fans the plan's expanded documents out across the ring —
-// each document routed by its own (routed) fingerprint, grouped per owning
-// replica into one sub-batch each — writes the replica verdicts back into
-// the expanded documents, and returns the summed batch stats. A nil error
-// with a non-nil shard.Result means a replica answered non-OK and its
-// response should be relayed.
-func (c *Coordinator) verifyExpanded(ctx context.Context, plan *route.Plan) (BatchStats, *shard.Result, error) {
-	type group struct {
-		idxs []int // indices into plan.Expanded
-		key  []byte
-	}
-	groups := make(map[string]*group)
-	order := make([]string, 0, 4) // deterministic fan-out order
+// verifyRouted verifies the plan's expanded documents through the ring
+// scatter — each routed by its own (routed) fingerprint — writes the replica
+// verdicts back into them, recombines, and returns the batch stats. It
+// reports false when the scatter already wrote a failure response.
+func (c *Coordinator) verifyRouted(ctx context.Context, w http.ResponseWriter, plan *route.Plan) (BatchStats, bool) {
 	wire := make([]DocumentInput, len(plan.Expanded))
 	for i, d := range plan.Expanded {
 		wire[i] = wireDocument(d)
-		key, _ := c.routeKey(d.ID, wire[i].Claims)
-		owner, ok := c.ring.Assign(key)
-		if !ok {
-			return BatchStats{}, nil, shard.ErrNoReplicas
-		}
-		g := groups[owner]
-		if g == nil {
-			g = &group{key: key}
-			groups[owner] = g
-			order = append(order, owner)
-		}
-		g.idxs = append(g.idxs, i)
 	}
-
-	type outcome struct {
-		res    shard.Result
-		err    error
-		parsed BatchResponse
+	merged, ok := c.scatter(ctx, w, wire)
+	if !ok {
+		return BatchStats{}, false
 	}
-	outcomes := make([]outcome, len(order))
-	var wg sync.WaitGroup
-	for gi, owner := range order {
-		g := groups[owner]
-		wg.Add(1)
-		go func(gi int, g *group) {
-			defer wg.Done()
-			out := outcome{}
-			docs := make([]DocumentInput, len(g.idxs))
-			for j, idx := range g.idxs {
-				docs[j] = wire[idx]
-			}
-			body, err := json.Marshal(BatchRequest{Documents: docs})
-			if err == nil {
-				out.res, err = c.proxy.Do(ctx, g.key, "/v1/verify/batch", body)
-			}
-			if err == nil && out.res.Status == http.StatusOK {
-				err = json.Unmarshal(out.res.Body, &out.parsed)
-			}
-			out.err = err
-			outcomes[gi] = out
-		}(gi, g)
+	for i, d := range plan.Expanded {
+		for k, cl := range d.Claims {
+			cl.Result = wireResult(merged.Documents[i].Claims[k])
+		}
 	}
-	wg.Wait()
-
-	var stats BatchStats
-	for gi, owner := range order {
-		o := outcomes[gi]
-		if o.err != nil {
-			return BatchStats{}, nil, o.err
-		}
-		if o.res.Status != http.StatusOK {
-			res := o.res
-			return BatchStats{}, &res, nil
-		}
-		g := groups[owner]
-		c.routed.Add(1)
-		c.traceRoute(plan.Expanded[g.idxs[0]].ID, o.res)
-		for j, idx := range g.idxs {
-			if j >= len(o.parsed.Documents) {
-				return BatchStats{}, nil, fmt.Errorf("replica %s returned %d documents for %d", o.res.Node, len(o.parsed.Documents), len(g.idxs))
-			}
-			dst := plan.Expanded[idx]
-			src := o.parsed.Documents[j].Claims
-			for k, cl := range dst.Claims {
-				if k < len(src) {
-					cl.Result = wireResult(src[k])
-				}
-			}
-		}
-		stats.Docs += o.parsed.Batch.Docs
-		stats.Claims += o.parsed.Batch.Claims
-		stats.Dollars += o.parsed.Batch.Dollars
-		stats.Calls += o.parsed.Batch.Calls
-	}
-	// The coordinator made the routing decisions, so it books their fees —
-	// exactly what the library path adds to Report.Dollars.
-	stats.Dollars += plan.Fee
 	plan.Recombine()
-	// Fees and calls sum across the unit verifications, but doc/claim counts
-	// describe the caller's request — a direct route-enabled replica reports
-	// the original counts, not the expanded units, and so do we.
+	// The coordinator made the routing decisions, so it books their fees —
+	// exactly what the library path adds to Report.Dollars. Fees and calls
+	// sum across the unit verifications, but doc/claim counts describe the
+	// caller's request — a direct route-enabled replica reports the original
+	// counts, not the expanded units, and so do we.
+	stats := merged.Batch
+	stats.Dollars += plan.Fee
 	stats.Docs = len(plan.Original)
-	stats.Claims = 0
-	for _, d := range plan.Original {
-		stats.Claims += len(d.Claims)
-	}
-	return stats, nil, nil
+	stats.Claims = claim.TotalClaims(plan.Original)
+	return stats, true
 }
 
 // tryRoutedVerify handles POST /v1/verify when routing applies to the
@@ -213,20 +136,11 @@ func (c *Coordinator) tryRoutedVerify(ctx context.Context, w http.ResponseWriter
 	if plan == nil {
 		return false
 	}
-	stats, relayRes, err := c.verifyExpanded(ctx, plan)
-	if err != nil {
-		c.renderProxyError(w, err)
-		return true
+	if stats, ok := c.verifyRouted(ctx, w, plan); ok {
+		dr := documentResult(docs[0])
+		c.met.recordRequest(time.Since(started))
+		writeJSON(w, http.StatusOK, VerifyResponse{DocID: dr.DocID, Claims: dr.Claims, Batch: stats})
 	}
-	if relayRes != nil {
-		c.countRelay(relayRes.Status)
-		relay(w, *relayRes)
-		return true
-	}
-	doc := docs[0]
-	dr := documentResult(doc)
-	c.met.recordRequest(time.Since(started))
-	writeJSON(w, http.StatusOK, VerifyResponse{DocID: doc.ID, Claims: dr.Claims, Batch: stats})
 	return true
 }
 
@@ -238,21 +152,13 @@ func (c *Coordinator) tryRoutedVerifyBatch(ctx context.Context, w http.ResponseW
 	if plan == nil {
 		return false
 	}
-	stats, relayRes, err := c.verifyExpanded(ctx, plan)
-	if err != nil {
-		c.renderProxyError(w, err)
-		return true
+	if stats, ok := c.verifyRouted(ctx, w, plan); ok {
+		merged := BatchResponse{Documents: make([]DocumentResult, len(docs)), Batch: stats}
+		for i, d := range docs {
+			merged.Documents[i] = documentResult(d)
+		}
+		c.met.recordRequest(time.Since(started))
+		writeJSON(w, http.StatusOK, merged)
 	}
-	if relayRes != nil {
-		c.countRelay(relayRes.Status)
-		relay(w, *relayRes)
-		return true
-	}
-	merged := BatchResponse{Documents: make([]DocumentResult, len(docs)), Batch: stats}
-	for i, d := range docs {
-		merged.Documents[i] = documentResult(d)
-	}
-	c.met.recordRequest(time.Since(started))
-	writeJSON(w, http.StatusOK, merged)
 	return true
 }

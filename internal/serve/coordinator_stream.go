@@ -241,7 +241,14 @@ func (c *Coordinator) handleReviewList(w http.ResponseWriter, r *http.Request) {
 	)
 	for _, node := range c.healthyReplicas() {
 		var parsed ReviewListResponse
-		if err := c.getJSON(r.Context(), node+"/v1/review", &parsed); err != nil {
+		status, body, err := c.call(r.Context(), http.MethodGet, node+"/v1/review", "", nil, maxBodyBytes)
+		if err == nil && status != http.StatusOK {
+			err = fmt.Errorf("status %d", status)
+		}
+		if err == nil {
+			err = json.Unmarshal(body, &parsed)
+		}
+		if err != nil {
 			c.met.inc(&c.met.internalErrors)
 			writeError(w, http.StatusBadGateway, CodeInternal,
 				fmt.Sprintf("replica %s: %v", node, err), 0)
@@ -297,7 +304,7 @@ func (c *Coordinator) handleReviewResolve(w http.ResponseWriter, r *http.Request
 		reachable bool
 	)
 	for _, node := range c.healthyReplicas() {
-		status, respBody, err := c.postJSON(r.Context(), node+path, body)
+		status, respBody, err := c.call(r.Context(), http.MethodPost, node+path, "application/json", body, maxBodyBytes)
 		if err != nil {
 			continue
 		}
@@ -308,49 +315,11 @@ func (c *Coordinator) handleReviewResolve(w http.ResponseWriter, r *http.Request
 	}
 	switch {
 	case resolved != nil:
-		w.Header().Set("Content-Type", "application/json")
-		w.WriteHeader(http.StatusOK)
-		_, _ = w.Write(resolved)
+		relay(w, http.StatusOK, resolved)
 	case reachable:
 		writeError(w, http.StatusNotFound, CodeNotFound, "no review item with that id", 0)
 	default:
 		c.met.inc(&c.met.rejectedDraining)
 		writeError(w, http.StatusServiceUnavailable, CodeDraining, "no live replicas", 0)
 	}
-}
-
-// getJSON fetches and decodes one replica JSON endpoint.
-func (c *Coordinator) getJSON(ctx context.Context, url string, dst any) error {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, url, nil)
-	if err != nil {
-		return err
-	}
-	resp, err := c.client.Do(req)
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("status %d", resp.StatusCode)
-	}
-	return json.NewDecoder(io.LimitReader(resp.Body, maxBodyBytes)).Decode(dst)
-}
-
-// postJSON posts one JSON body to a replica, returning status and body.
-func (c *Coordinator) postJSON(ctx context.Context, url string, body []byte) (int, []byte, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, url, bytes.NewReader(body))
-	if err != nil {
-		return 0, nil, err
-	}
-	req.Header.Set("Content-Type", "application/json")
-	resp, err := c.client.Do(req)
-	if err != nil {
-		return 0, nil, err
-	}
-	defer resp.Body.Close()
-	b, err := io.ReadAll(io.LimitReader(resp.Body, maxBodyBytes))
-	if err != nil {
-		return 0, nil, err
-	}
-	return resp.StatusCode, b, nil
 }

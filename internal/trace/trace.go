@@ -309,6 +309,9 @@ func (t *Tracer) Summary() Summary {
 //     property of how documents were submitted, not of the verification work,
 //     and the stream-determinism gate compares streamed traces against batch
 //     runs;
+//   - ingest_sample spans are dropped — they describe how a catalog was
+//     built, not how claims were verified, and the ingestion gate compares
+//     traces across the topologies a dataset was onboarded through;
 //   - route_score and route_pick spans are dropped — compound-claim routing
 //     is planned wherever the compound claim arrived (library, replica, or
 //     coordinator), while the routed sub-claims verify elsewhere, and the

@@ -2,7 +2,9 @@
 // pre-processing (Algorithm 4, via claim.Masked), the one-shot LLM
 // translation method (Algorithm 5, Figure 3), the agent-based method
 // (Algorithms 6–8), query plausibility checking (CorrectQuery), claim
-// validation (Algorithm 3), and query reconstruction (Algorithm 9).
+// validation (Algorithm 3), and query reconstruction (Algorithm 9). NewStack
+// builds the standard four-method stack of Section 7.1 over simulated models
+// and their middleware.
 package verify
 
 import (
