@@ -3,7 +3,8 @@
 # (`race`: the whole suite, which includes the documented-surface tests and
 # every fuzz target's seed corpus), and a short fuzz smoke over the SQL
 # parser/executor, the store's segment decoder, the shard ring, the ingestion
-# type-inference engine, and the claim decomposer/router.
+# type-inference engine, the claim decomposer/router, the token counter
+# (vs strings.Fields), and the sparse embedding (vs its dense reference).
 #
 # The named gates below — chaos, trace, store, sqldiff, shard, stream,
 # ingest, route, doclint — are `-run` subsets of that same suite, kept for
@@ -137,6 +138,8 @@ fuzz-smoke:
 	$(GO) test -run NONE -fuzz FuzzTypeInference$$ -fuzztime $(FUZZTIME) ./internal/ingest
 	$(GO) test -run NONE -fuzz FuzzDecompose$$ -fuzztime $(FUZZTIME) ./internal/route
 	$(GO) test -run NONE -fuzz FuzzRouteScore$$ -fuzztime $(FUZZTIME) ./internal/route
+	$(GO) test -run NONE -fuzz FuzzCountTokens$$ -fuzztime $(FUZZTIME) ./internal/llm
+	$(GO) test -run NONE -fuzz FuzzEmbedMatchesDense$$ -fuzztime $(FUZZTIME) ./internal/embed
 
 bench:
 	$(GO) test -bench . -benchmem ./...

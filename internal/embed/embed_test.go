@@ -2,6 +2,7 @@ package embed
 
 import (
 	"math"
+	"reflect"
 	"testing"
 	"testing/quick"
 )
@@ -88,7 +89,7 @@ func TestEmbedNormProperty(t *testing.T) {
 	f := func(s string) bool {
 		v := Embed(s)
 		norm := 0.0
-		for _, x := range v {
+		for _, x := range v.val {
 			norm += x * x
 		}
 		return math.Abs(norm-1) < 1e-9 || norm == 0
@@ -101,7 +102,7 @@ func TestEmbedNormProperty(t *testing.T) {
 func TestDeterminism(t *testing.T) {
 	a := Embed("Malaysia Airlines")
 	b := Embed("Malaysia Airlines")
-	if a != b {
+	if !reflect.DeepEqual(a, b) {
 		t.Error("embedding is not deterministic")
 	}
 }

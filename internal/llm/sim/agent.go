@@ -113,7 +113,7 @@ func (m *Model) conversationRNG(base string, req llm.Request) *rand.Rand {
 		binary.LittleEndian.PutUint64(buf[8:], uint64(req.Seed))
 		_, _ = h.Write(buf[:])
 	}
-	return rand.New(rand.NewSource(int64(h.Sum64())))
+	return rand.New(llm.NewSource(int64(h.Sum64())))
 }
 
 // singleHop drives claims answerable with one query, recovering from entity

@@ -183,13 +183,12 @@ func (m *Model) Complete(req llm.Request) (llm.Response, error) {
 		return llm.Response{}, fmt.Errorf("%w: model %q served by %q", llm.ErrUnknownModel, req.Model, m.profile.Name)
 	}
 	prompt := llm.PromptText(req.Messages)
-	rng := m.rngFor(prompt, req)
 
 	var content string
 	if strings.Contains(prompt, agentMarker) {
 		content = m.agentStep(prompt, req)
 	} else {
-		content = m.oneShot(prompt, req.Temperature, rng)
+		content = m.oneShot(prompt, req.Temperature, m.rngFor(prompt, req))
 	}
 	usage := llm.Usage{
 		PromptTokens:     llm.CountMessageTokens(req.Messages),
@@ -229,7 +228,7 @@ func (m *Model) rngFor(prompt string, req llm.Request) *rand.Rand {
 		_, _ = h.Write(buf[:])
 		fmt.Fprintf(h, "%.4f", req.Temperature)
 	}
-	return rand.New(rand.NewSource(int64(h.Sum64())))
+	return rand.New(llm.NewSource(int64(h.Sum64())))
 }
 
 // noise returns the corruption probability at the given temperature, with

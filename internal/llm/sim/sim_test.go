@@ -286,3 +286,28 @@ func TestProfilesComplete(t *testing.T) {
 		t.Error("unit-skill tiers wrong")
 	}
 }
+
+// BenchmarkModelComplete measures one AggChecker-shaped one-shot completion
+// (schema, few-shot sample, context, sampled at temperature > 0) — the
+// provider work behind every first-tier attempt.
+func BenchmarkModelComplete(b *testing.B) {
+	db := simDB(b)
+	masked := "Malaysia Airlines recorded x fatal accidents between 2000 and 2014."
+	sample := prompts.Sample("Aer Lingus had x incidents between 1985 and 1999.",
+		`SELECT incidents_85_99 FROM airlines WHERE airline = 'Aer Lingus'`)
+	prompt := prompts.OneShot(masked, "numeric", db.Schema(), sample,
+		"Airline safety records, 1985-2014. "+masked)
+	m, _ := New(llm.ModelGPT35, 1)
+	req := llm.Request{
+		Model:       llm.ModelGPT35,
+		Messages:    []llm.Message{{Role: llm.RoleUser, Content: prompt}},
+		Temperature: 0.4,
+	}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		req.Seed = int64(i)
+		if _, err := m.Complete(req); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

@@ -180,6 +180,33 @@ func TestParseSchemaText(t *testing.T) {
 	}
 }
 
+// TestParseSchemaTextCaseAndShortLines pins the prefix match: CREATE TABLE
+// in any ASCII case opens a table, and lines shorter than the keyword (or
+// equal to it without a column list) are skipped without panicking.
+func TestParseSchemaTextCaseAndShortLines(t *testing.T) {
+	text := strings.Join([]string{
+		"", "C", "CREATE", "create tabl", "CREATE TABLE", "  create table  ",
+		"create table lower (a INTEGER);",
+		"  CrEaTe TaBlE \"Mixed Case\" (\"Col A\" TEXT, b REAL);",
+		"CREATE TABLEx (z INTEGER);",
+		"CREATE  TABLE spaced (a INTEGER);",
+		"-- CREATE TABLE commented (a INTEGER);",
+		"créate table accent (a INTEGER);",
+	}, "\n")
+	s := ParseSchemaText(text)
+	var names []string
+	for _, tab := range s.Tables {
+		names = append(names, tab.Name)
+	}
+	want := []string{"lower", "Mixed Case", "x"}
+	if strings.Join(names, "|") != strings.Join(want, "|") {
+		t.Fatalf("tables = %q, want %q", names, want)
+	}
+	if cols := s.Tables[1].Columns; len(cols) != 2 || cols[0].Name != "Col A" || cols[1].Type != "REAL" {
+		t.Errorf("mixed-case table columns = %+v", cols)
+	}
+}
+
 func TestAmbiguityDetectionAndContextBoost(t *testing.T) {
 	db := sqldb.NewDatabase("amb")
 	tab := sqldb.NewTable("airlines", "airline", "fatal_accidents_85_99", "fatal_accidents_00_14")

@@ -68,8 +68,7 @@ func ParseSchemaText(text string) *Schema {
 	s := &Schema{}
 	for _, line := range strings.Split(text, "\n") {
 		line = strings.TrimSpace(line)
-		upper := strings.ToUpper(line)
-		if !strings.HasPrefix(upper, "CREATE TABLE") {
+		if len(line) < len("CREATE TABLE") || !strings.EqualFold(line[:len("CREATE TABLE")], "CREATE TABLE") {
 			continue
 		}
 		open := strings.IndexByte(line, '(')
