@@ -73,12 +73,15 @@ doclint:
 # SQL differential gate under the race detector (DESIGN.md §12): the
 # old-vs-new harness (stored corpus + >=1000 generated queries through both
 # the row oracle and the vectorized executor, bit-identical results and
-# error surfaces), the pushdown row-count property, the plan-cache suite
+# error surfaces, also at scan chunk sizes 1/3/7), the column-image safety
+# suite (no operator writes into a shared image, a mutated table falls back,
+# a 32-goroutine query vs AddTable/RemoveTable stress), the pushdown
+# row-count property, the plan-cache suite
 # (normalized sharing, invalidation, cap, 32-goroutine mixed
 # prepare/execute/invalidate stress), and the warm-cache verdict/trace
 # determinism tests at the pipeline level.
 sqldiff:
-	$(GO) test -race -run 'Differential|PlanCache|Pushdown|ExplainQuery|WarmPlanCache|HashJoinMatches' \
+	$(GO) test -race -run 'Differential|Image|PlanCache|Pushdown|ExplainQuery|WarmPlanCache|HashJoinMatches' \
 		./internal/sqldb ./internal/data ./internal/core
 
 # Sharded-serving gate under the race detector (DESIGN.md §13): ring

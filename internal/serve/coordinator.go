@@ -87,6 +87,9 @@ type Coordinator struct {
 	res    *metrics.Resilience
 	met    *serveMetrics
 	start  time.Time
+	// probeClient dials a fresh connection per health probe (see
+	// probeClientFor), so a probe always tests the replica's listener.
+	probeClient *http.Client
 
 	routed       atomic.Int64
 	failovers    atomic.Int64
@@ -123,13 +126,14 @@ func NewCoordinator(cfg CoordinatorConfig) (*Coordinator, error) {
 		}}
 	}
 	c := &Coordinator{
-		cfg:        cfg,
-		client:     client,
-		ring:       shard.NewRing(0),
-		res:        &metrics.Resilience{},
-		met:        newServeMetrics(),
-		start:      time.Now(),
-		proberDone: make(chan struct{}),
+		cfg:         cfg,
+		client:      client,
+		probeClient: probeClientFor(client),
+		ring:        shard.NewRing(0),
+		res:         &metrics.Resilience{},
+		met:         newServeMetrics(),
+		start:       time.Now(),
+		proberDone:  make(chan struct{}),
 	}
 	c.prober = &shard.Prober{
 		Probe:        c.probe,
@@ -197,14 +201,40 @@ func (c *Coordinator) routes() *http.ServeMux {
 func (c *Coordinator) probe(ctx context.Context, node string) error {
 	ctx, cancel := context.WithTimeout(ctx, 2*time.Second)
 	defer cancel()
-	status, _, err := c.call(ctx, http.MethodGet, node+"/healthz", "", nil, 1024)
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet, node+"/healthz", nil)
 	if err != nil {
 		return err
 	}
-	if status != http.StatusOK {
-		return fmt.Errorf("healthz: status %d", status)
+	resp, err := c.probeClient.Do(req)
+	if err != nil {
+		return err
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		return fmt.Errorf("healthz: status %d", resp.StatusCode)
 	}
 	return nil
+}
+
+// probeClientFor derives the health-probe client from the proxy client: the
+// same transport settings with keep-alives off. A pooled idle connection can
+// outlive a replica's listener — a replica that accepts no new connections
+// would then keep answering probes over it, each success resetting the
+// failure streak, and never be ejected. A probe that must dial sees the dead
+// listener at once. A client whose transport is not an *http.Transport is
+// used as is.
+func probeClientFor(client *http.Client) *http.Client {
+	rt := client.Transport
+	if rt == nil {
+		rt = http.DefaultTransport
+	}
+	tr, ok := rt.(*http.Transport)
+	if !ok {
+		return client
+	}
+	tr = tr.Clone()
+	tr.DisableKeepAlives = true
+	return &http.Client{Transport: tr, Timeout: client.Timeout}
 }
 
 // register admits one replica (idempotent).

@@ -411,3 +411,44 @@ func TestCoordinatorHealthzAndRouteSpans(t *testing.T) {
 	}
 	resp.Body.Close()
 }
+
+// TestCoordinatorProbeSeesClosedListener reproduces a replica whose
+// listener is gone while an idle keep-alive connection to it survives, the
+// state a killed replica's sockets can be in: the pooled proxy client still
+// gets answers over that connection, but a health probe must dial, fail,
+// and so let the breaker eject the replica.
+func TestCoordinatorProbeSeesClosedListener(t *testing.T) {
+	rep := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		w.WriteHeader(http.StatusOK)
+	}))
+	defer rep.Close()
+	c, _ := newTestCoordinator(t, CoordinatorConfig{ProbeInterval: time.Hour})
+	ctx, cancel := contextWithTimeout(5 * time.Second)
+	defer cancel()
+	if err := c.probe(ctx, rep.URL); err != nil {
+		t.Fatalf("probe of a live replica: %v", err)
+	}
+	// Leave an idle connection in the proxy client's pool, then close the
+	// listener only.
+	if status, _, err := c.call(ctx, http.MethodGet, rep.URL+"/healthz", "", nil, 1024); err != nil || status != http.StatusOK {
+		t.Fatalf("warm-up call: %d %v", status, err)
+	}
+	rep.Listener.Close()
+	// Precondition: the pooled connection outlives the listener. (The
+	// transport returns a connection to its pool asynchronously, so a
+	// call can race it, dial, and be refused; retry until it is pooled.)
+	pooled := false
+	for i := 0; i < 100 && !pooled; i++ {
+		status, _, err := c.call(ctx, http.MethodGet, rep.URL+"/healthz", "", nil, 1024)
+		pooled = err == nil && status == http.StatusOK
+		if !pooled {
+			time.Sleep(10 * time.Millisecond)
+		}
+	}
+	if !pooled {
+		t.Fatal("precondition: no pooled connection survived the listener")
+	}
+	if err := c.probe(ctx, rep.URL); err == nil {
+		t.Fatal("probe was answered over a pooled connection after the replica's listener closed")
+	}
+}

@@ -7,6 +7,7 @@ import (
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 )
 
 // Column describes one column of a table.
@@ -112,12 +113,14 @@ func mergeKind(cur, next Kind) Kind {
 
 // Database is a named collection of tables. Catalog reads and writes are
 // safe for concurrent use; the tables themselves must not be mutated after
-// registration while queries run against them.
+// registration while queries run against them. (A table that gains rows
+// after registration no longer matches its column image, and queries over
+// it run on the row engine until it is registered again.)
 type Database struct {
 	Name string
 
 	mu      sync.RWMutex
-	tables  map[string]*Table
+	tables  map[string]*catalogEntry
 	order   []string
 	version uint64 // bumped on every catalog change; guards cached plans
 	// tableVers records, per (lowercased) table name, the catalog version at
@@ -127,24 +130,69 @@ type Database struct {
 	tableVers map[string]uint64
 
 	plans planCache // parsed-plan / prepared-statement cache (stmt_cache.go)
+
+	schema atomic.Pointer[schemaText] // last rendered Schema text
+}
+
+// schemaText is a rendered Schema string and the catalog version it
+// describes.
+type schemaText struct {
+	version uint64
+	text    string
 }
 
 // NewDatabase constructs an empty database.
 func NewDatabase(name string) *Database {
-	return &Database{Name: name, tables: make(map[string]*Table), tableVers: make(map[string]uint64)}
+	return &Database{Name: name, tables: make(map[string]*catalogEntry), tableVers: make(map[string]uint64)}
+}
+
+// catalogEntry is one registered table together with its column image: the
+// table's columns in Vec form, built once at registration so vectorized
+// scans read them in place instead of rebuilding columns per query. The
+// image is read-only; replacing or removing the table drops the entry and
+// its image with it.
+type catalogEntry struct {
+	t     *Table
+	image *tableImage
+}
+
+// tableImage is a table's read-only columnar form. rows is len(t.Rows) at
+// build time: a table mutated after registration no longer matches it, and
+// executors then fall back to the row engine rather than serve the image.
+type tableImage struct {
+	rows int
+	cols []*Vec
+}
+
+// buildImage converts a table to columns under the storage rules every
+// vectorized operator relies on: unboxed int/float storage when the column
+// type is numeric, demoting to generic Values on the first mismatching cell.
+func buildImage(t *Table) *tableImage {
+	img := &tableImage{rows: len(t.Rows), cols: make([]*Vec, len(t.Columns))}
+	for c, col := range t.Columns {
+		v := NewVec(vecKindHint(col.Type), len(t.Rows))
+		for _, row := range t.Rows {
+			v.Append(row[c])
+		}
+		img.cols[c] = v
+	}
+	return img
 }
 
 // AddTable registers a table, replacing any previous table with the same
-// (case-insensitive) name. Cached query plans that reference the table are
-// invalidated: they may have bound column positions against the replaced
-// schema. Plans over other tables stay cached.
+// (case-insensitive) name, and builds its column image for the vectorized
+// executor (outside the lock: the table is not shared yet). Cached query
+// plans that reference the table are invalidated: they may have bound
+// column positions against the replaced schema. Plans over other tables
+// stay cached.
 func (d *Database) AddTable(t *Table) {
+	e := &catalogEntry{t: t, image: buildImage(t)}
 	d.mu.Lock()
 	key := strings.ToLower(t.Name)
 	if _, exists := d.tables[key]; !exists {
 		d.order = append(d.order, key)
 	}
-	d.tables[key] = t
+	d.tables[key] = e
 	d.version++
 	if d.tableVers == nil {
 		d.tableVers = make(map[string]uint64)
@@ -184,27 +232,32 @@ func (d *Database) RemoveTable(name string) bool {
 func (d *Database) Table(name string) *Table {
 	d.mu.RLock()
 	defer d.mu.RUnlock()
-	return d.tables[strings.ToLower(name)]
+	if e := d.tables[strings.ToLower(name)]; e != nil {
+		return e.t
+	}
+	return nil
 }
 
-// Version returns the catalog version, which increments on every AddTable.
-// Cached plans carry the version they were compiled against.
+// Version returns the catalog version, which increments on every AddTable
+// and every successful RemoveTable. Cached plans are stamped with the
+// version at which their tables last changed.
 func (d *Database) Version() uint64 {
 	d.mu.RLock()
 	defer d.mu.RUnlock()
 	return d.version
 }
 
-// snapshotTables resolves the named tables and their combined change stamp
-// in one atomic step, so a concurrent AddTable cannot hand an executor a
-// table whose schema differs from the plan it is about to run. The stamp is
-// the maximum per-table version over names: it moves only when one of the
-// named tables changes, so churn on unrelated tables does not stale plans
-// compiled against this set.
-func (d *Database) snapshotTables(names []string) ([]*Table, uint64) {
+// snapshotTables resolves the named catalog entries (table plus column
+// image) and their combined change stamp in one atomic step, so a
+// concurrent AddTable cannot hand an executor a table whose schema differs
+// from the plan it is about to run, nor an image of a different table
+// version. Absent tables resolve to nil. The stamp is the maximum per-table
+// version over names: it moves only when one of the named tables changes, so
+// churn on unrelated tables does not stale plans compiled against this set.
+func (d *Database) snapshotTables(names []string) ([]*catalogEntry, uint64) {
 	d.mu.RLock()
 	defer d.mu.RUnlock()
-	out := make([]*Table, len(names))
+	out := make([]*catalogEntry, len(names))
 	var stamp uint64
 	for i, n := range names {
 		key := strings.ToLower(n)
@@ -237,7 +290,7 @@ func (d *Database) Tables() []*Table {
 	defer d.mu.RUnlock()
 	out := make([]*Table, 0, len(d.order))
 	for _, k := range d.order {
-		out = append(out, d.tables[k])
+		out = append(out, d.tables[k].t)
 	}
 	return out
 }
@@ -248,16 +301,31 @@ func (d *Database) TableNames() []string {
 	defer d.mu.RUnlock()
 	out := make([]string, 0, len(d.order))
 	for _, k := range d.order {
-		out = append(out, d.tables[k].Name)
+		out = append(out, d.tables[k].t.Name)
 	}
 	return out
 }
 
 // Schema renders a compact CREATE TABLE description of every table, used to
 // fill the {db_schema} placeholder of the verification prompt templates.
+// The text is rendered once per catalog version and reused until a table is
+// added, replaced or removed — or gains rows after registration, which can
+// widen a column type.
 func (d *Database) Schema() string {
+	d.mu.RLock()
+	ver, current := d.version, d.imagesCurrentLocked()
+	if c := d.schema.Load(); current && c != nil && c.version == ver {
+		d.mu.RUnlock()
+		return c.text
+	}
+	tables := make([]*Table, 0, len(d.order))
+	for _, k := range d.order {
+		tables = append(tables, d.tables[k].t)
+	}
+	d.mu.RUnlock()
+
 	var b strings.Builder
-	for _, t := range d.Tables() {
+	for _, t := range tables {
 		fmt.Fprintf(&b, "CREATE TABLE \"%s\" (", t.Name)
 		for i, c := range t.Columns {
 			if i > 0 {
@@ -267,7 +335,22 @@ func (d *Database) Schema() string {
 		}
 		b.WriteString(");\n")
 	}
-	return b.String()
+	text := b.String()
+	if current {
+		d.schema.Store(&schemaText{version: ver, text: text})
+	}
+	return text
+}
+
+// imagesCurrentLocked reports whether every registered table still has the
+// row count its image was built with. Callers hold d.mu.
+func (d *Database) imagesCurrentLocked() bool {
+	for _, e := range d.tables {
+		if len(e.t.Rows) != e.image.rows {
+			return false
+		}
+	}
+	return true
 }
 
 // SampleRows renders up to n example rows per table in a pipe-separated

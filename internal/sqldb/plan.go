@@ -11,8 +11,8 @@ import "strings"
 // fallback nodes, and a nil plan means "run the whole statement on the row
 // engine". The compiled plan is immutable and safe for concurrent execution.
 
-// DefaultBatchSize is the number of rows a vectorized scan processes per
-// column chunk.
+// DefaultBatchSize is the number of rows per chunk when a vectorized scan
+// applies pushed-down filters to a table's column image.
 const DefaultBatchSize = 1024
 
 // planScan describes one FROM/JOIN relation: its slot range in the full
@@ -52,6 +52,7 @@ type vecPlan struct {
 	batch   int    // scan chunk size; DefaultBatchSize unless overridden
 
 	scans    []planScan
+	names    []string // scan table names in scan order, for snapshotTables
 	joins    []planJoin
 	binds    []colBind
 	needed   []bool // slots that must be materialized
@@ -91,12 +92,14 @@ func compilePlan(db *Database, stmt *SelectStmt) *vecPlan {
 	} else if len(stmt.Joins) > 0 {
 		return nil
 	}
-	tables, version := db.snapshotTables(names)
-	p.version = version
-	for _, t := range tables {
-		if t == nil {
+	entries, version := db.snapshotTables(names)
+	p.names, p.version = names, version
+	tables := make([]*Table, len(entries))
+	for i, e := range entries {
+		if e == nil {
 			return nil
 		}
+		tables[i] = e.t
 	}
 
 	// Working-set layout: mirror buildFrom/scanTable bind order exactly.
@@ -304,6 +307,9 @@ func (c *planCompiler) compile(e Expr) vexpr {
 		case "OR":
 			return &vor{l: c.compile(v.Left), r: c.compile(v.Right)}
 		}
+		if cl := c.compileCmpLit(v); cl != nil {
+			return cl
+		}
 		return &vbin{op: v.Op, l: c.compile(v.Left), r: c.compile(v.Right)}
 	case *BetweenExpr:
 		return &vbetween{x: c.compile(v.Expr), lo: c.compile(v.Lo), hi: c.compile(v.Hi), not: v.Not}
@@ -357,6 +363,33 @@ func (c *planCompiler) compile(e Expr) vexpr {
 	default:
 		return c.fallback(e)
 	}
+}
+
+// compileCmpLit lowers a comparison between a resolvable column and a
+// literal, in either operand order, to a vcmplit; nil means another shape.
+func (c *planCompiler) compileCmpLit(v *BinaryExpr) vexpr {
+	switch v.Op {
+	case "=", "<>", "<", "<=", ">", ">=":
+	default:
+		return nil
+	}
+	col, lcol := v.Left.(*ColumnExpr)
+	lit, rlit := v.Right.(*LiteralExpr)
+	litLeft := false
+	if !lcol || !rlit {
+		col, _ = v.Right.(*ColumnExpr)
+		lit, _ = v.Left.(*LiteralExpr)
+		litLeft = true
+	}
+	if col == nil || lit == nil {
+		return nil
+	}
+	slot, ok := resolveBind(c.p.binds, col.Table, col.Name)
+	if !ok {
+		return nil
+	}
+	c.needed[slot] = true
+	return &vcmplit{op: v.Op, slot: slot, lit: lit.Val, litLeft: litLeft}
 }
 
 // compileGroup lowers an aggregate-context expression, mirroring

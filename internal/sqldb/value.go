@@ -351,55 +351,48 @@ func (v *Vec) demote() {
 // Gather returns a new vector holding v[idx[0]], v[idx[1]], ... A negative
 // index yields NULL (used for the padding side of outer joins).
 func (v *Vec) Gather(idx []int) *Vec {
-	out := NewVec(v.kind, len(idx))
+	out := &Vec{kind: v.kind}
 	switch v.kind {
 	case KindInt:
-		for _, i := range idx {
+		out.ints, out.nulls = make([]int64, len(idx)), make([]bool, len(idx))
+		for k, i := range idx {
 			if i < 0 || v.nulls[i] {
-				out.ints = append(out.ints, 0)
-				out.nulls = append(out.nulls, true)
+				out.nulls[k] = true
 			} else {
-				out.ints = append(out.ints, v.ints[i])
-				out.nulls = append(out.nulls, false)
+				out.ints[k] = v.ints[i]
 			}
 		}
 	case KindFloat:
-		for _, i := range idx {
+		out.floats, out.nulls = make([]float64, len(idx)), make([]bool, len(idx))
+		for k, i := range idx {
 			if i < 0 || v.nulls[i] {
-				out.floats = append(out.floats, 0)
-				out.nulls = append(out.nulls, true)
+				out.nulls[k] = true
 			} else {
-				out.floats = append(out.floats, v.floats[i])
-				out.nulls = append(out.nulls, false)
+				out.floats[k] = v.floats[i]
 			}
 		}
 	default:
-		for _, i := range idx {
-			if i < 0 {
-				out.any = append(out.any, Null())
-			} else {
-				out.any = append(out.any, v.any[i])
+		out.any = make([]Value, len(idx)) // the zero Value is NULL
+		for k, i := range idx {
+			if i >= 0 {
+				out.any[k] = v.any[i]
 			}
 		}
 	}
 	return out
 }
 
-// AppendVec appends all of o's values, with an unboxed bulk copy when both
-// vectors share typed storage.
-func (v *Vec) AppendVec(o *Vec) {
-	if v.kind == o.kind && v.kind != KindNull {
-		switch v.kind {
-		case KindInt:
-			v.ints = append(v.ints, o.ints...)
-		case KindFloat:
-			v.floats = append(v.floats, o.floats...)
-		}
-		v.nulls = append(v.nulls, o.nulls...)
-		return
-	}
-	for i, n := 0, o.Len(); i < n; i++ {
-		v.Append(o.At(i))
+// slice returns a zero-copy view of v[start:end]. Capacities are capped at
+// the view's end, so an append to the view reallocates instead of writing
+// into v's storage.
+func (v *Vec) slice(start, end int) *Vec {
+	switch v.kind {
+	case KindInt:
+		return &Vec{kind: KindInt, ints: v.ints[start:end:end], nulls: v.nulls[start:end:end]}
+	case KindFloat:
+		return &Vec{kind: KindFloat, floats: v.floats[start:end:end], nulls: v.nulls[start:end:end]}
+	default:
+		return &Vec{any: v.any[start:end:end]}
 	}
 }
 

@@ -9,9 +9,10 @@ import (
 
 // vexec.go is the vectorized runtime for plans produced by compilePlan: data
 // flows through the operator tree as column batches (vbatch) instead of one
-// row at a time. Scans stream fixed-size chunks and apply pushed-down filters
-// per chunk; hash joins produce index pair lists and gather columns instead
-// of materializing joined rows; aggregates fold typed vectors directly.
+// row at a time. Scans read each table's column image (catalog.go) in place
+// and apply pushed-down filters chunk by chunk over views of it; hash joins
+// produce index pair lists and gather columns instead of materializing
+// joined rows; aggregates fold typed vectors directly.
 // Every scalar kernel either reuses the row engine's functions (applyBinary,
 // applyScalarFunc, castValue, ...) or replicates their exact numeric
 // behaviour — including the float64 coercion Value.Compare applies to
@@ -89,23 +90,22 @@ func (ctx *vecCtx) subResult(key interface{}, sub *SelectStmt) (*Result, error) 
 // engine cannot produce the row engine's result here" — the caller falls
 // back; it never means the query itself is known to fail.
 func (p *vecPlan) run(db *Database) (*Result, error) {
-	names := make([]string, len(p.scans))
-	for i, s := range p.scans {
-		names[i] = s.table
-	}
-	tables, ver := db.snapshotTables(names)
+	entries, ver := db.snapshotTables(p.names)
 	if ver != p.version {
 		return nil, errPlanStale
 	}
-	for i, t := range tables {
-		if t == nil || len(t.Columns) != p.scans[i].n {
+	for i, e := range entries {
+		// A table whose row count no longer matches its image was mutated
+		// after registration: run it like a stale plan, so the row engine
+		// reads the live rows and the old image is never served.
+		if e == nil || len(e.t.Columns) != p.scans[i].n || len(e.t.Rows) != e.image.rows {
 			return nil, errPlanStale
 		}
 	}
 
 	ctx := &vecCtx{ex: &executor{db: db}, binds: p.binds}
 
-	b, err := p.buildBatch(ctx, tables)
+	b, err := p.buildBatch(ctx, entries)
 	if err != nil {
 		return nil, err
 	}
@@ -122,16 +122,16 @@ func (p *vecPlan) run(db *Database) (*Result, error) {
 }
 
 // buildBatch scans and joins the FROM clause into one batch.
-func (p *vecPlan) buildBatch(ctx *vecCtx, tables []*Table) (*vbatch, error) {
+func (p *vecPlan) buildBatch(ctx *vecCtx, entries []*catalogEntry) (*vbatch, error) {
 	if len(p.scans) == 0 {
 		return &vbatch{cols: make([]*Vec, 0)}, nil
 	}
-	left, err := p.scanBatch(ctx, 0, tables[0])
+	left, err := p.scanBatch(ctx, 0, entries[0].image)
 	if err != nil {
 		return nil, err
 	}
 	for ji := range p.joins {
-		right, err := p.scanBatch(ctx, ji+1, tables[ji+1])
+		right, err := p.scanBatch(ctx, ji+1, entries[ji+1].image)
 		if err != nil {
 			return nil, err
 		}
@@ -143,50 +143,57 @@ func (p *vecPlan) buildBatch(ctx *vecCtx, tables []*Table) (*vbatch, error) {
 	return left, nil
 }
 
-// scanBatch streams table rows in chunks of p.batch, materializing the
-// needed slots of scan si and applying its pushed-down filters chunk by
-// chunk, so filtered rows never reach join or aggregation operators.
-func (p *vecPlan) scanBatch(ctx *vecCtx, si int, t *Table) (*vbatch, error) {
+// scanBatch reads the needed slots of scan si straight from the table's
+// column image: with no pushed-down filter the image vectors are the batch.
+// Otherwise the filters run over chunks of p.batch rows — zero-copy views of
+// the image — and only the rows that pass are gathered, so filtered rows
+// never reach join or aggregation operators. No operator writes into a
+// batch's vectors, which is what makes handing out the image safe.
+func (p *vecPlan) scanBatch(ctx *vecCtx, si int, img *tableImage) (*vbatch, error) {
 	s := &p.scans[si]
-	out := &vbatch{cols: make([]*Vec, len(p.binds))}
+	all := &vbatch{n: img.rows, cols: make([]*Vec, len(p.binds))}
 	for c := 0; c < s.n; c++ {
 		if p.needed[s.base+c] {
-			out.cols[s.base+c] = NewVec(vecKindHint(t.Columns[c].Type), len(t.Rows))
+			all.cols[s.base+c] = img.cols[c]
 		}
 	}
-	rows := t.Rows
-	for start := 0; start < len(rows); start += p.batch {
-		end := start + p.batch
-		if end > len(rows) {
-			end = len(rows)
+	if len(s.pushed) == 0 {
+		return all, nil
+	}
+	var sel []int
+	for start := 0; start < all.n; start += p.batch {
+		end := min(start+p.batch, all.n)
+		chunk := all
+		if end-start < all.n {
+			chunk = all.view(start, end)
 		}
-		chunk := &vbatch{n: end - start, cols: make([]*Vec, len(p.binds))}
-		for c := 0; c < s.n; c++ {
-			slot := s.base + c
-			if !p.needed[slot] {
-				continue
-			}
-			cv := NewVec(vecKindHint(t.Columns[c].Type), end-start)
-			for r := start; r < end; r++ {
-				cv.Append(rows[r][c])
-			}
-			chunk.cols[slot] = cv
+		idx, err := selectPushed(ctx, chunk, s.pushed)
+		if err != nil {
+			return nil, err
 		}
-		var err error
-		for _, f := range s.pushed {
-			chunk, err = filterBatch(ctx, chunk, f)
-			if err != nil {
-				return nil, err
-			}
+		if start == 0 {
+			sel = idx
+			continue
 		}
-		out.n += chunk.n
-		for slot, cv := range chunk.cols {
-			if cv != nil {
-				out.cols[slot].AppendVec(cv)
-			}
+		for _, i := range idx {
+			sel = append(sel, start+i)
 		}
 	}
-	return out, nil
+	if len(sel) == all.n {
+		return all, nil
+	}
+	return gatherBatch(all, sel), nil
+}
+
+// view returns rows [start, end) of the batch as zero-copy vector views.
+func (b *vbatch) view(start, end int) *vbatch {
+	out := &vbatch{n: end - start, cols: make([]*Vec, len(b.cols))}
+	for slot, cv := range b.cols {
+		if cv != nil {
+			out.cols[slot] = cv.slice(start, end)
+		}
+	}
+	return out
 }
 
 // vecKindHint selects unboxed storage for columns whose observed type is
@@ -198,18 +205,58 @@ func vecKindHint(k Kind) Kind {
 	return KindNull
 }
 
-// filterBatch keeps the rows for which f evaluates truthy (Value.AsBool,
-// so NULL filters out — the row engine's WHERE semantics).
-func filterBatch(ctx *vecCtx, b *vbatch, f vexpr) (*vbatch, error) {
+// selectPushed returns the indices of b's rows that pass every pushed-down
+// filter. Pushed filters are error-free (safeExpr), so each one narrows the
+// previous one's survivors in place of gathering a new batch between them.
+func selectPushed(ctx *vecCtx, b *vbatch, fs []vexpr) ([]int, error) {
+	var sel []int
+	for _, f := range fs {
+		var err error
+		if sel, err = selectRows(ctx, b, f, sel); err != nil {
+			return nil, err
+		}
+		if len(sel) == 0 {
+			break
+		}
+	}
+	return sel, nil
+}
+
+// selectRows narrows cand — row indices of b in ascending order, nil meaning
+// every row — to the rows for which f is truthy (Value.AsBool, so NULL
+// filters out: the row engine's WHERE semantics). A column-literal
+// comparison is decided per row without materializing a result vector;
+// any other filter is evaluated over the whole batch.
+func selectRows(ctx *vecCtx, b *vbatch, f vexpr, cand []int) ([]int, error) {
+	if c, ok := f.(*vcmplit); ok {
+		return c.selectRows(b, cand), nil
+	}
 	fv, err := f.eval(ctx, b)
 	if err != nil {
 		return nil, err
 	}
-	idx := make([]int, 0, b.n)
-	for i := 0; i < b.n; i++ {
+	n := b.n
+	if cand != nil {
+		n = len(cand)
+	}
+	idx := make([]int, 0, n)
+	for k := 0; k < n; k++ {
+		i := k
+		if cand != nil {
+			i = cand[k]
+		}
 		if fv.At(i).AsBool() {
 			idx = append(idx, i)
 		}
+	}
+	return idx, nil
+}
+
+// filterBatch keeps the rows for which f evaluates truthy.
+func filterBatch(ctx *vecCtx, b *vbatch, f vexpr) (*vbatch, error) {
+	idx, err := selectRows(ctx, b, f, nil)
+	if err != nil {
+		return nil, err
 	}
 	if len(idx) == b.n {
 		return b, nil
@@ -659,23 +706,96 @@ func cmpKernel(op string, lv, rv *Vec, n int) *Vec {
 			out.any = append(out.any, Bool(false))
 			continue
 		}
-		a, b := numAt(lv, i), numAt(rv, i)
-		var res bool
-		switch op {
-		case "=":
-			res = a == b
-		case "<>":
-			res = a != b
-		case "<":
-			res = a < b
-		case "<=":
-			res = a <= b
-		case ">":
-			res = a > b
-		case ">=":
-			res = a >= b
+		out.any = append(out.any, Bool(cmpFloat(op, numAt(lv, i), numAt(rv, i))))
+	}
+	return out
+}
+
+// cmpFloat applies a comparison operator to two float64 operands.
+func cmpFloat(op string, a, b float64) bool {
+	switch op {
+	case "=":
+		return a == b
+	case "<>":
+		return a != b
+	case "<":
+		return a < b
+	case "<=":
+		return a <= b
+	case ">":
+		return a > b
+	case ">=":
+		return a >= b
+	}
+	return false
+}
+
+// vcmplit compares a column with a literal — the usual shape of a WHERE
+// conjunct. selectRows decides it per row straight into a selection list,
+// with no broadcast literal vector and no boxed Bool per row. Results match
+// vbin's exactly: cmpKernel's float64 rule when the column storage and the
+// literal are both numeric, the row engine's applyBinary otherwise.
+type vcmplit struct {
+	op      string
+	slot    int
+	lit     Value
+	litLeft bool // the literal is the left operand
+}
+
+func (c *vcmplit) eval(ctx *vecCtx, b *vbatch) (*Vec, error) {
+	out := NewVec(KindNull, b.n)
+	for i := 0; i < b.n; i++ {
+		out.any = append(out.any, Bool(false))
+	}
+	for _, i := range c.selectRows(b, nil) {
+		out.any[i] = Bool(true)
+	}
+	return out, nil
+}
+
+// selectRows narrows cand (ascending row indices of b, nil meaning every
+// row) to the rows on which the comparison holds.
+func (c *vcmplit) selectRows(b *vbatch, cand []int) []int {
+	v := b.cols[c.slot]
+	n := b.n
+	if cand != nil {
+		n = len(cand)
+	}
+	out := make([]int, 0, n)
+	if typedNum(v) && c.lit.IsNumeric() {
+		lf, _ := c.lit.AsFloat()
+		for k := 0; k < n; k++ {
+			i := k
+			if cand != nil {
+				i = cand[k]
+			}
+			if v.nulls[i] {
+				continue
+			}
+			x, y := numAt(v, i), lf
+			if c.litLeft {
+				x, y = y, x
+			}
+			if cmpFloat(c.op, x, y) {
+				out = append(out, i)
+			}
 		}
-		out.any = append(out.any, Bool(res))
+		return out
+	}
+	for k := 0; k < n; k++ {
+		i := k
+		if cand != nil {
+			i = cand[k]
+		}
+		l, r := v.At(i), c.lit
+		if c.litLeft {
+			l, r = r, l
+		}
+		// Comparisons never fail in applyBinary: NULL and incomparable
+		// operands yield a Bool.
+		if res, _ := applyBinary(c.op, l, r); res.AsBool() {
+			out = append(out, i)
+		}
 	}
 	return out
 }
@@ -1191,70 +1311,75 @@ func (a *gagg) eval(ctx *vecCtx, g *vgroup) (Value, error) {
 	if !a.f.Distinct && typedNum(av) {
 		return typedFold(a.f.Name, av, g.rows)
 	}
-	// Generic fold: mirror evalAggregate's collection (non-NULL values in
-	// row order, DISTINCT by grouping key) and folding rules.
-	var vals []Value
+	// Generic fold, streamed in row order: the values, DISTINCT keys,
+	// operation order and first offending value of evalAggregate's
+	// collect-then-fold, without collecting the values first.
+	name := a.f.Name
+	switch name {
+	case "COUNT", "SUM", "AVG", "MIN", "MAX":
+	default:
+		return Null(), fmt.Errorf("%w: aggregate %s", ErrUnsupported, name)
+	}
 	var seen map[string]bool
 	if a.f.Distinct {
 		seen = make(map[string]bool)
 	}
+	cnt := 0
+	sum, allInt := 0.0, true
+	var best Value
 	for _, r := range g.rows {
 		v := av.At(r)
 		if v.IsNull() {
 			continue
 		}
-		if a.f.Distinct {
+		if seen != nil {
 			k := v.key()
 			if seen[k] {
 				continue
 			}
 			seen[k] = true
 		}
-		vals = append(vals, v)
-	}
-	switch a.f.Name {
-	case "COUNT":
-		return Int(int64(len(vals))), nil
-	case "SUM", "AVG":
-		if len(vals) == 0 {
-			return Null(), nil
-		}
-		sum := 0.0
-		allInt := true
-		for _, v := range vals {
+		switch name {
+		case "SUM", "AVG":
 			fv, ok := v.AsFloat()
 			if !ok {
-				return Null(), fmt.Errorf("%w: %s over non-numeric value %q", ErrType, a.f.Name, v.String())
+				return Null(), fmt.Errorf("%w: %s over non-numeric value %q", ErrType, name, v.String())
 			}
 			if v.Kind() != KindInt {
 				allInt = false
 			}
 			sum += fv
+		case "MIN", "MAX":
+			if cnt == 0 {
+				best = v
+				break
+			}
+			c, ok := v.Compare(best)
+			if !ok {
+				return Null(), fmt.Errorf("%w: %s over incomparable values", ErrType, name)
+			}
+			if (name == "MIN" && c < 0) || (name == "MAX" && c > 0) {
+				best = v
+			}
 		}
-		if a.f.Name == "AVG" {
-			return Float(sum / float64(len(vals))), nil
-		}
+		cnt++
+	}
+	if name == "COUNT" {
+		return Int(int64(cnt)), nil
+	}
+	if cnt == 0 {
+		return Null(), nil
+	}
+	switch name {
+	case "AVG":
+		return Float(sum / float64(cnt)), nil
+	case "SUM":
 		if allInt && sum == math.Trunc(sum) {
 			return Int(int64(sum)), nil
 		}
 		return Float(sum), nil
-	case "MIN", "MAX":
-		if len(vals) == 0 {
-			return Null(), nil
-		}
-		best := vals[0]
-		for _, v := range vals[1:] {
-			c, ok := v.Compare(best)
-			if !ok {
-				return Null(), fmt.Errorf("%w: %s over incomparable values", ErrType, a.f.Name)
-			}
-			if (a.f.Name == "MIN" && c < 0) || (a.f.Name == "MAX" && c > 0) {
-				best = v
-			}
-		}
-		return best, nil
 	}
-	return Null(), fmt.Errorf("%w: aggregate %s", ErrUnsupported, a.f.Name)
+	return best, nil
 }
 
 // typedFold folds an aggregate over an unboxed numeric vector without
