@@ -4,7 +4,8 @@
 # every fuzz target's seed corpus), and a short fuzz smoke over the SQL
 # parser/executor, the store's segment decoder, the shard ring, the ingestion
 # type-inference engine, the claim decomposer/router, the token counter
-# (vs strings.Fields), and the sparse embedding (vs its dense reference).
+# (vs strings.Fields), the sparse embedding (vs its dense reference), and
+# the in-place FNV-64a hash (vs hash/fnv).
 #
 # The named gates below — chaos, trace, store, sqldiff, shard, stream,
 # ingest, route, doclint — are `-run` subsets of that same suite, kept for
@@ -142,6 +143,7 @@ fuzz-smoke:
 	$(GO) test -run NONE -fuzz FuzzDecompose$$ -fuzztime $(FUZZTIME) ./internal/route
 	$(GO) test -run NONE -fuzz FuzzRouteScore$$ -fuzztime $(FUZZTIME) ./internal/route
 	$(GO) test -run NONE -fuzz FuzzCountTokens$$ -fuzztime $(FUZZTIME) ./internal/llm
+	$(GO) test -run NONE -fuzz FuzzFNV64a$$ -fuzztime $(FUZZTIME) ./internal/llm
 	$(GO) test -run NONE -fuzz FuzzEmbedMatchesDense$$ -fuzztime $(FUZZTIME) ./internal/embed
 
 bench:

@@ -172,14 +172,14 @@ func (p *Pipeline) VerifyDocumentsParallel(docs []*claim.Document, workers int) 
 	}
 	work := make(chan *claim.Document)
 	var wg sync.WaitGroup
+	wg.Add(workers)
 	for i := 0; i < workers; i++ {
-		wg.Add(1)
-		go func() {
+		warm.spawn(func() {
 			defer wg.Done()
 			for d := range work {
 				p.VerifyDocument(d)
 			}
-		}()
+		})
 	}
 	for _, d := range docs {
 		work <- d
@@ -284,8 +284,10 @@ func (p *Pipeline) harvestPass(m verify.Method, claims []*claim.Claim, db *sqldb
 // samplePass implements Algorithm 2's with-sample mode: verify every claim
 // and return all successes. Attempts are mutually independent — each owns
 // its claim, its seed, and a read-only view of the database — so they fan
-// out over the worker pool; successes are collected in claim order, keeping
-// the result identical to a sequential sweep.
+// out over the warm worker pool; successes are collected in claim order,
+// keeping the result identical to a sequential sweep. The worker slot is
+// taken here, before the hand-off, so at most Workers attempts hold a pool
+// goroutine at once and the rest wait on this document's goroutine.
 func (p *Pipeline) samplePass(m verify.Method, claims []*claim.Claim, sample *verify.Sample, db *sqldb.Database, invFor func(*claim.Claim) verify.Invocation) []*claim.Claim {
 	attempt := func(c *claim.Claim) bool {
 		inv := invFor(c)
@@ -294,8 +296,13 @@ func (p *Pipeline) samplePass(m verify.Method, claims []*claim.Claim, sample *ve
 	}
 	var verified []*claim.Claim
 	if p.sem == nil || len(claims) < 2 {
+		// A one-claim pass runs here but still holds a slot, or it would
+		// exceed the Workers bound beside other documents' attempts.
 		for _, c := range claims {
-			if attempt(c) {
+			p.acquire()
+			ok := attempt(c)
+			p.release()
+			if ok {
 				verified = append(verified, c)
 			}
 		}
@@ -303,14 +310,14 @@ func (p *Pipeline) samplePass(m verify.Method, claims []*claim.Claim, sample *ve
 	}
 	ok := make([]bool, len(claims))
 	var wg sync.WaitGroup
+	wg.Add(len(claims))
 	for i, c := range claims {
-		wg.Add(1)
-		go func(i int, c *claim.Claim) {
-			defer wg.Done()
-			p.acquire()
-			defer p.release()
+		p.acquire()
+		warm.spawn(func() {
 			ok[i] = attempt(c)
-		}(i, c)
+			p.release()
+			wg.Done()
+		})
 	}
 	wg.Wait()
 	for i, c := range claims {
@@ -321,7 +328,8 @@ func (p *Pipeline) samplePass(m verify.Method, claims []*claim.Claim, sample *ve
 	return verified
 }
 
-// acquire takes a worker slot when the pool is bounded; release returns it.
+// acquire takes a worker slot when the pipeline is bounded; release returns
+// it.
 func (p *Pipeline) acquire() {
 	if p.sem != nil {
 		p.sem <- struct{}{}

@@ -1,9 +1,7 @@
 package resilience
 
 import (
-	"encoding/binary"
 	"errors"
-	"hash/fnv"
 	"sync"
 
 	"repro/internal/llm"
@@ -70,31 +68,25 @@ func unit(h uint64) float64 { return float64(h>>11) / (1 << 53) }
 // mix hashes a plan seed, request key, attempt ordinal, and a purpose tag
 // into an independent draw.
 func mix(seed int64, key uint64, occ int, tag byte) uint64 {
-	h := fnv.New64a()
-	var buf [24]byte
-	binary.LittleEndian.PutUint64(buf[0:], uint64(seed))
-	binary.LittleEndian.PutUint64(buf[8:], key)
-	binary.LittleEndian.PutUint64(buf[16:], uint64(occ))
-	_, _ = h.Write(buf[:])
-	_, _ = h.Write([]byte{tag})
-	return h.Sum64()
+	return llm.NewFNV64a().AddUint64(uint64(seed)).AddUint64(key).AddUint64(uint64(occ)).AddByte(tag).Sum64()
 }
 
 // requestKey identifies a request by (model, prompt, seed). Two requests
 // with the same key are the same logical attempt identity; the pipeline's
 // per-(doc, claim, method, try) seeding guarantees distinct attempts get
 // distinct keys, which is what makes per-key occurrence counting
-// order-independent.
+// order-independent. The prompt is hashed message by message with the
+// '\n' separators llm.PromptText would join them with, so the key equals
+// the hash of the joined text without building it.
 func requestKey(req llm.Request) uint64 {
-	h := fnv.New64a()
-	_, _ = h.Write([]byte(req.Model))
-	_, _ = h.Write([]byte{0})
-	_, _ = h.Write([]byte(llm.PromptText(req.Messages)))
-	var buf [8]byte
-	binary.LittleEndian.PutUint64(buf[:], uint64(req.Seed))
-	_, _ = h.Write([]byte{0})
-	_, _ = h.Write(buf[:])
-	return h.Sum64()
+	h := llm.NewFNV64a().AddString(req.Model).AddByte(0)
+	for i, m := range req.Messages {
+		if i > 0 {
+			h = h.AddByte('\n')
+		}
+		h = h.AddString(m.Content)
+	}
+	return h.AddByte(0).AddUint64(uint64(req.Seed)).Sum64()
 }
 
 // Faulty wraps a Client and injects Plan-scheduled transport failures. Each

@@ -54,7 +54,9 @@ func (r *Retrier) Complete(req llm.Request) (llm.Response, error) {
 	if attempts < 1 {
 		attempts = 3
 	}
-	key := requestKey(req)
+	// The request key only seeds backoff jitter, so it is computed at the
+	// first retry: fault-free traffic never hashes its prompt here.
+	var key uint64
 	var elapsed time.Duration
 	var resp llm.Response
 	var err error
@@ -78,6 +80,9 @@ func (r *Retrier) Complete(req llm.Request) (llm.Response, error) {
 			return resp, fmt.Errorf("%w: %v elapsed of %v deadline (last: %v)", ErrTimeout, elapsed, r.Deadline, err)
 		}
 		if attempt < attempts-1 {
+			if attempt == 0 {
+				key = requestKey(req)
+			}
 			d := r.backoff(key, attempt)
 			elapsed += d
 			if r.Deadline > 0 && elapsed >= r.Deadline {

@@ -1,8 +1,6 @@
 package llm
 
 import (
-	"encoding/binary"
-	"hash/fnv"
 	"math/rand"
 	"reflect"
 )
@@ -18,13 +16,9 @@ import (
 // The derivation is FNV-64a over the base seed and the NUL-separated parts.
 // It is stable across runs and platforms; it is not cryptographic.
 func SplitSeed(base int64, parts ...string) int64 {
-	h := fnv.New64a()
-	var buf [8]byte
-	binary.LittleEndian.PutUint64(buf[:], uint64(base))
-	_, _ = h.Write(buf[:])
+	h := NewFNV64a().AddUint64(uint64(base))
 	for _, p := range parts {
-		_, _ = h.Write([]byte{0})
-		_, _ = h.Write([]byte(p))
+		h = h.AddByte(0).AddString(p)
 	}
 	return int64(h.Sum64())
 }

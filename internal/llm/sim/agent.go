@@ -1,9 +1,7 @@
 package sim
 
 import (
-	"encoding/binary"
 	"fmt"
-	"hash/fnv"
 	"math/rand"
 	"strings"
 
@@ -45,7 +43,7 @@ func (m *Model) agentStep(prompt string, req llm.Request) string {
 	if !ok {
 		return finalAnswer("unknown")
 	}
-	schema := nl.ParseSchemaText(base)
+	schema := m.schemaOf(base)
 	if len(schema.Tables) == 0 {
 		return finalAnswer("unknown")
 	}
@@ -102,16 +100,9 @@ func (m *Model) agentStep(prompt string, req llm.Request) string {
 // model and request seeds join the hash so seeded retries sample different
 // trajectories (the runner keeps Request.Seed constant within a run).
 func (m *Model) conversationRNG(base string, req llm.Request) *rand.Rand {
-	h := fnv.New64a()
-	_, _ = h.Write([]byte(m.profile.Name))
-	_, _ = h.Write([]byte(base))
-	fmt.Fprintf(h, "%.4f", req.Temperature)
+	h := addTemperature(llm.NewFNV64a().AddString(m.profile.Name).AddString(base), req.Temperature)
 	if req.Temperature > 0 {
-		_, _ = h.Write([]byte(samplingSalt))
-		var buf [16]byte
-		binary.LittleEndian.PutUint64(buf[:8], uint64(m.seed))
-		binary.LittleEndian.PutUint64(buf[8:], uint64(req.Seed))
-		_, _ = h.Write(buf[:])
+		h = h.AddString(samplingSalt).AddUint64(uint64(m.seed)).AddUint64(uint64(req.Seed))
 	}
 	return rand.New(llm.NewSource(int64(h.Sum64())))
 }

@@ -9,9 +9,9 @@ import (
 
 // TestModelConcurrentCompletions drives one shared simulated model from 32
 // goroutines mixing temperature-0 and seeded temperature-0.9 requests. The
-// model holds no mutable state, so every goroutine must observe exactly the
-// response the same request produces in isolation (run under -race via make
-// check).
+// model holds no state that affects its output (its schema memo is a pure
+// cache), so every goroutine must observe exactly the response the same
+// request produces in isolation (run under -race via make check).
 func TestModelConcurrentCompletions(t *testing.T) {
 	const goroutines = 32
 	const perGoroutine = 20

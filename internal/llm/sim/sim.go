@@ -13,11 +13,11 @@
 package sim
 
 import (
-	"encoding/binary"
 	"fmt"
-	"hash/fnv"
 	"math/rand"
+	"strconv"
 	"strings"
+	"sync/atomic"
 
 	"repro/internal/llm"
 	"repro/internal/nl"
@@ -149,13 +149,38 @@ func Profiles() map[string]Profile {
 }
 
 // Model is a simulated LLM implementing llm.Client. A Model holds no
-// mutable state — all randomness is derived per completion from the prompt
-// and the request seed — so one instance is safe for any number of
+// state that affects its output — all randomness is derived per completion
+// from the prompt and the request seed, and its one mutable field is a
+// cache of a pure function — so one instance is safe for any number of
 // concurrent callers, and outcomes never depend on request ordering.
 type Model struct {
 	profile Profile
 	lex     *nl.Lexicon
 	seed    int64
+	// schema memoizes the last schema parsed out of a prompt.
+	schema atomic.Pointer[schemaMemo]
+}
+
+// schemaMemo is one parsed schema keyed by the exact CREATE TABLE block it
+// was parsed from. Nothing mutates a parsed Schema, so callers share it.
+type schemaMemo struct {
+	block  string
+	schema *nl.Schema
+}
+
+// schemaOf returns the schema described by a prompt's CREATE TABLE block.
+// The block changes only with the catalog, so consecutive prompts almost
+// always repeat it and one memo entry serves them; a different block
+// replaces the entry.
+func (m *Model) schemaOf(prompt string) *nl.Schema {
+	block := nl.SchemaBlock(prompt)
+	if e := m.schema.Load(); e != nil && e.block == block {
+		return e.schema
+	}
+	s := nl.ParseSchemaText(block)
+	// Clone the key so the memo does not pin the whole prompt.
+	m.schema.Store(&schemaMemo{block: strings.Clone(block), schema: s})
+	return s
 }
 
 // New constructs a simulated model by canonical name. The seed drives the
@@ -217,18 +242,18 @@ func (m *Model) Complete(req llm.Request) (llm.Response, error) {
 const samplingSalt = "sampling-v1"
 
 func (m *Model) rngFor(prompt string, req llm.Request) *rand.Rand {
-	h := fnv.New64a()
-	_, _ = h.Write([]byte(m.profile.Name))
-	_, _ = h.Write([]byte(prompt))
+	h := llm.NewFNV64a().AddString(m.profile.Name).AddString(prompt)
 	if req.Temperature > 0 {
-		_, _ = h.Write([]byte(samplingSalt))
-		var buf [16]byte
-		binary.LittleEndian.PutUint64(buf[:8], uint64(m.seed))
-		binary.LittleEndian.PutUint64(buf[8:], uint64(req.Seed))
-		_, _ = h.Write(buf[:])
-		fmt.Fprintf(h, "%.4f", req.Temperature)
+		h = h.AddString(samplingSalt).AddUint64(uint64(m.seed)).AddUint64(uint64(req.Seed))
+		h = addTemperature(h, req.Temperature)
 	}
 	return rand.New(llm.NewSource(int64(h.Sum64())))
+}
+
+// addTemperature extends a hash by the temperature's "%.4f" text.
+func addTemperature(h llm.FNV64a, t float64) llm.FNV64a {
+	var buf [32]byte
+	return h.AddBytes(strconv.AppendFloat(buf[:0], t, 'f', 4, 64))
 }
 
 // noise returns the corruption probability at the given temperature, with

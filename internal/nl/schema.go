@@ -66,9 +66,11 @@ func SchemaFromDatabase(db *sqldb.Database) *Schema {
 // how a model skims prompt text.
 func ParseSchemaText(text string) *Schema {
 	s := &Schema{}
-	for _, line := range strings.Split(text, "\n") {
+	for rest := text; rest != ""; {
+		var line string
+		line, rest = nextLine(rest)
 		line = strings.TrimSpace(line)
-		if len(line) < len("CREATE TABLE") || !strings.EqualFold(line[:len("CREATE TABLE")], "CREATE TABLE") {
+		if !isCreateTable(line) {
 			continue
 		}
 		open := strings.IndexByte(line, '(')
@@ -98,6 +100,42 @@ func ParseSchemaText(text string) *Schema {
 		s.Tables = append(s.Tables, st)
 	}
 	return s
+}
+
+// SchemaBlock returns the span of text from the start of its first CREATE
+// TABLE line through the end of its last one ("" when there is none). Those
+// are the only lines ParseSchemaText reads, so ParseSchemaText(SchemaBlock(t))
+// equals ParseSchemaText(t) and the block can key a memo of the parse.
+func SchemaBlock(text string) string {
+	start, end := -1, -1
+	for pos := 0; pos < len(text); {
+		line, rest := nextLine(text[pos:])
+		if isCreateTable(strings.TrimSpace(line)) {
+			if start < 0 {
+				start = pos
+			}
+			end = pos + len(line)
+		}
+		pos = len(text) - len(rest)
+	}
+	if start < 0 {
+		return ""
+	}
+	return text[start:end]
+}
+
+// nextLine splits off text's first line, without its '\n'.
+func nextLine(text string) (line, rest string) {
+	if i := strings.IndexByte(text, '\n'); i >= 0 {
+		return text[:i], text[i+1:]
+	}
+	return text, ""
+}
+
+// isCreateTable reports whether a trimmed line opens a CREATE TABLE
+// statement (in any case).
+func isCreateTable(line string) bool {
+	return len(line) >= len("CREATE TABLE") && strings.EqualFold(line[:len("CREATE TABLE")], "CREATE TABLE")
 }
 
 // splitColDef separates `"col name" TYPE` into name and type, handling

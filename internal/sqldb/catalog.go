@@ -238,6 +238,18 @@ func (d *Database) Table(name string) *Table {
 	return nil
 }
 
+// resolveTable returns the named table, or nil and the table names
+// registered at that same instant, read under one lock: an unknown-table
+// error built from them never lists the table it reports missing.
+func (d *Database) resolveTable(name string) (*Table, []string) {
+	d.mu.RLock()
+	defer d.mu.RUnlock()
+	if e := d.tables[strings.ToLower(name)]; e != nil {
+		return e.t, nil
+	}
+	return nil, d.tableNamesLocked()
+}
+
 // Version returns the catalog version, which increments on every AddTable
 // and every successful RemoveTable. Cached plans are stamped with the
 // version at which their tables last changed.
@@ -299,6 +311,10 @@ func (d *Database) Tables() []*Table {
 func (d *Database) TableNames() []string {
 	d.mu.RLock()
 	defer d.mu.RUnlock()
+	return d.tableNamesLocked()
+}
+
+func (d *Database) tableNamesLocked() []string {
 	out := make([]string, 0, len(d.order))
 	for _, k := range d.order {
 		out = append(out, d.tables[k].t.Name)

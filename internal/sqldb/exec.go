@@ -469,10 +469,10 @@ func equiJoinColumns(on Expr, left, right *workingSet) (li, ri int, ok bool) {
 }
 
 func (ex *executor) scanTable(ref TableRef) (*workingSet, error) {
-	t := ex.db.Table(ref.Name)
+	t, names := ex.db.resolveTable(ref.Name)
 	if t == nil {
 		return nil, fmt.Errorf("%w: %q (available: %s)", ErrUnknownTable, ref.Name,
-			strings.Join(ex.db.TableNames(), ", "))
+			strings.Join(names, ", "))
 	}
 	eff := ref.EffectiveName()
 	ws := &workingSet{}

@@ -234,9 +234,9 @@ func TestImageCatalogRaceStress(t *testing.T) {
 			want[k] = append(want[k], res)
 		}
 	}
-	// The row engine lists the available tables in a second catalog read,
-	// so under churn only the message prefix is stable.
-	const goneErr = `sqldb: unknown table: "t" (available: `
+	// The unknown-table error resolves the table and lists the available
+	// ones under one catalog read, so its text is exact even under churn.
+	const goneErr = `sqldb: unknown table: "t" (available: s)`
 
 	db := NewDatabase("stress")
 	db.AddTable(side)
@@ -298,7 +298,7 @@ func TestImageCatalogRaceStress(t *testing.T) {
 				}
 				res, err := Query(db, queries[qi])
 				if err != nil {
-					if !errors.Is(err, ErrUnknownTable) || !strings.HasPrefix(err.Error(), goneErr) {
+					if !errors.Is(err, ErrUnknownTable) || err.Error() != goneErr {
 						errs <- fmt.Errorf("%q: unexpected error %v", queries[qi], err)
 						return
 					}
@@ -360,5 +360,58 @@ func TestSchemaTracksCatalog(t *testing.T) {
 				t.Fatalf("step %d (call %d): Schema() = %q, want %q", i, rep, got, want)
 			}
 		}
+	}
+}
+
+// TestUnknownTableErrorUnderChurn: while other goroutines drop and re-add
+// tables, an unknown-table error must describe one catalog state — the
+// table it reports missing is never among the tables it lists as available.
+func TestUnknownTableErrorUnderChurn(t *testing.T) {
+	names := []string{"a", "b", "c"}
+	tables := make([]*Table, len(names))
+	db := NewDatabase("churn")
+	for i, n := range names {
+		tables[i] = NewTable(n, "x")
+		tables[i].MustAppendRow(Int(int64(i)))
+		db.AddTable(tables[i])
+	}
+	var wg sync.WaitGroup
+	errs := make(chan error, 32)
+	for w := 0; w < 24; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(int64(w)))
+			for i := 0; i < 400; i++ {
+				k := rng.Intn(len(names))
+				if w%3 == 0 { // 8 writers
+					if !db.RemoveTable(names[k]) {
+						db.AddTable(tables[k])
+					}
+					continue
+				}
+				_, err := Query(db, "SELECT x FROM "+names[k])
+				if err == nil {
+					continue
+				}
+				msg := err.Error()
+				open := strings.Index(msg, "(available: ")
+				if !errors.Is(err, ErrUnknownTable) || open < 0 || !strings.HasSuffix(msg, ")") {
+					errs <- fmt.Errorf("unexpected error %v", err)
+					return
+				}
+				for _, avail := range strings.Split(msg[open+len("(available: "):len(msg)-1], ", ") {
+					if avail == names[k] {
+						errs <- fmt.Errorf("error lists its own table as available: %v", err)
+						return
+					}
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Error(err)
 	}
 }
